@@ -1,17 +1,20 @@
 // Serving benchmark program. One process runs one workload for one seed:
 //   1. generates a Table-VIII-style lake and query charts with benchgen,
 //   2. trains the FCM model with a fixed configuration,
-//   3. sets the engine up several times (build, plus snapshot save/open
-//      on the snapshot-served workload) and keeps the last one,
+//   3. sets the engine up (build, plus snapshot save/open on the
+//      snapshot-served workload),
 //   4. serves the workload through the public index API for --seconds,
-//   5. checks every served ranking, and
-//   6. prints the end-to-end metrics (--trace 0) or the per-layer metrics
+//   5. checks every served ranking,
+//   6. sets the engine up twice more, with the serving engine released,
+//      for the median set-up time, and
+//   7. prints the end-to-end metrics (--trace 0) or the per-layer metrics
 //      (--trace 1) as the last line of stdout.
 // Workloads, metrics and the reasons for each are in perfbench/README.md.
 //
 // Usage: perfbench --workload <scan-closed|hybrid-async>
 //                  --seed <n> --seconds <s> --trace <0|1> --work-dir <dir>
 
+#include <malloc.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -29,7 +32,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -67,15 +69,21 @@ constexpr int kTopK = 6;             // k of every query; = duplicates.
 constexpr int kDuplicates = 6;       // Noisy near-duplicates per query.
 constexpr int kGroundTruthResample = 64;
 constexpr int kTrainingTables = 16;  // x2 charts each = 32 triplets.
-constexpr int kSetupReps = 3;        // setup_s is the median of these.
+// setup_s is the median of kSetupReps set-ups: the first gives the serving
+// engine, the rest run after serving, so that one burst of co-tenant load
+// does not slow all of them.
+constexpr int kSetupReps = 3;
 // Twelve tables per publish keep the table-parallel encode balanced over
 // the pool, so one descheduled worker does not set the publish time.
 constexpr int kIngestBatchTables = 12;
 constexpr int kIdleIngestBatches = 24;
 constexpr int kPrefilterKeep = 4 * kTopK;
 constexpr int kCoreProbeTables = 24;
-// hybrid-async: requests kept in flight through AsyncSearchService.
+// Requests kept in flight through AsyncSearchService: hybrid-async's
+// window, and the async loop a traced scan-closed run makes after its
+// window for kAsyncProbeSeconds.
 constexpr size_t kInFlight = 4;
+constexpr double kAsyncProbeSeconds = 3.0;
 
 // Each workload has one load-generator thread; the engine pool gets the
 // rest of the machine.
@@ -84,13 +92,14 @@ struct Workload {
   int query_tables;  // Distinct query charts.
   int extra_tables;  // Background tables.
   IndexStrategy strategy;
-  bool async;          // Serve through AsyncSearchService, not Search.
-  bool from_snapshot;  // Serve from an OpenSnapshot (mmap) engine.
+  // Serve through AsyncSearchService from an OpenSnapshot (mmap) engine;
+  // otherwise call Search on the built engine.
+  bool async_snapshot;
 };
 
 const Workload kWorkloads[] = {
-    {"scan-closed", 24, 0, IndexStrategy::kNoIndex, false, false},
-    {"hybrid-async", 40, 120, IndexStrategy::kHybrid, true, true},
+    {"scan-closed", 24, 0, IndexStrategy::kNoIndex, false},
+    {"hybrid-async", 40, 120, IndexStrategy::kHybrid, true},
 };
 
 // ---- Small helpers ----
@@ -129,10 +138,28 @@ double CpuSeconds() {
          1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
 }
 
+/// Returns freed heap pages to the kernel, then resets the resident-set
+/// high-water mark (VmHWM) to the current resident set, so a later
+/// PeakRssMb covers what is live now plus what follows.
+bool ResetPeakRss() {
+  malloc_trim(0);
+  std::ofstream f("/proc/self/clear_refs");
+  f << "5";
+  f.flush();
+  return static_cast<bool>(f);
+}
+
+/// VmHWM from /proc/self/status: the peak resident set since the process
+/// started or since the last ResetPeakRss.
 double PeakRssMb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB.
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::atof(line.c_str() + 6) / 1024.0;  // The line is in kB.
+    }
+  }
+  return 0.0;
 }
 
 std::string LoadAverage() {
@@ -369,126 +396,31 @@ ClosedLoopResult RunClosedLoop(const SearchEngine& engine,
   return r;
 }
 
-/// Seeded Poisson arrival schedule (offsets in seconds) over [0, seconds)
-/// plus the distinct query each arrival sends (balanced shuffled rounds).
-struct Schedule {
-  std::vector<double> due_s;
-  std::vector<int> query;
-};
-
-Schedule MakeSchedule(double rate, double seconds, size_t num_queries,
-                      uint64_t seed) {
-  Schedule s;
-  fcm::common::Rng rng(seed);
-  std::vector<int> order(num_queries);
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  size_t pos = order.size();
-  double t = 0.0;
-  while (true) {
-    t += -std::log(1.0 - rng.Uniform()) / rate;
-    if (t >= seconds) break;
-    if (pos == order.size()) {
-      rng.Shuffle(&order);
-      pos = 0;
-    }
-    s.due_s.push_back(t);
-    s.query.push_back(order[pos++]);
-  }
-  return s;
-}
-
-/// Open-loop generator on one thread (the async probe of the traced run):
-/// submits each arrival at its due time and records completions by
-/// waiting on the oldest outstanding future until the next arrival is due
-/// (the pipeline completes requests in order). Latency runs from the due
-/// time, so a stall also charges the requests queued behind it.
-struct OpenLoopResult {
-  std::vector<double> latency_ms, late_ms, submit_ms;
-  std::vector<int> latency_query;  // Distinct query of each latency sample.
-  std::vector<Served> served;
-  uint64_t attempted = 0, failed = 0;
-};
-
-OpenLoopResult RunOpenLoop(AsyncSearchService* service,
-                           const std::vector<const ExtractedChart*>& qs,
-                           IndexStrategy strategy, const Schedule& schedule) {
-  OpenLoopResult r;
-  struct Pending {
-    size_t index;
-    Clock::time_point due;
-    std::future<std::vector<SearchHit>> future;
-  };
-  std::deque<Pending> pending;
-  const auto start = Clock::now();
-  auto due_at = [&](size_t i) {
-    return start + std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(schedule.due_s[i]));
-  };
-  size_t next = 0;
-  const size_t n = schedule.due_s.size();
-  while (next < n || !pending.empty()) {
-    if (next < n && Clock::now() >= due_at(next)) {
-      Pending p;
-      p.index = next;
-      p.due = due_at(next);
-      const auto submit_start = Clock::now();
-      p.future = service->Submit(
-          *qs[static_cast<size_t>(schedule.query[next])], kTopK, strategy);
-      r.late_ms.push_back(MsBetween(p.due, submit_start));
-      r.submit_ms.push_back(MsBetween(submit_start, Clock::now()));
-      pending.push_back(std::move(p));
-      ++next;
-      ++r.attempted;
-      continue;
-    }
-    const Clock::time_point wake =
-        next < n ? due_at(next) : Clock::time_point::max();
-    if (pending.empty()) {
-      std::this_thread::sleep_until(wake);
-      continue;
-    }
-    Pending& front = pending.front();
-    if (front.future.wait_until(wake) != std::future_status::ready) continue;
-    const auto done = Clock::now();
-    Served s;
-    s.query = schedule.query[front.index];
-    bool ok = true;
-    try {
-      s.hits = front.future.get();
-    } catch (const std::exception&) {
-      ok = false;
-    }
-    if (ok) {
-      r.latency_ms.push_back(MsBetween(front.due, done));
-      r.latency_query.push_back(s.query);
-      r.served.push_back(std::move(s));
-    } else {
-      ++r.failed;
-    }
-    pending.pop_front();
-  }
-  return r;
-}
-
 /// Closed-loop load through the async service: keeps kInFlight requests
 /// outstanding for `seconds`, sending the next distinct query (seeded
 /// shuffled rounds) as each one completes, so the queue and the
 /// coalescing always have work while the backlog stays bounded. Latency
 /// runs from Submit to completion; the pipeline completes requests in
 /// order, so waiting on the oldest one observes each completion. With
-/// tracing on, every other request gets spans.
+/// tracing on, every timed request gets spans.
 struct AsyncLoopResult {
-  std::vector<double> latency_ms, traced_ms, untraced_ms;
+  std::vector<double> latency_ms;
+  std::vector<int> latency_query;  // Distinct query of each latency sample.
+  std::vector<double> submit_ms;   // Time spent inside each Submit call.
+  std::vector<double> react_ms;    // Completion observed -> next Submit.
   std::vector<Served> served;
   uint64_t attempted = 0, failed = 0, completed_in_window = 0;
   double wall_s = 0.0;  // Until the last completion inside the window.
+  double cpu_s = 0.0;   // Process CPU over the window and the drain.
+  fcm::index::AsyncServiceStats stats;  // The service's own counters.
 };
 
-AsyncLoopResult RunAsyncLoop(AsyncSearchService* service,
+AsyncLoopResult RunAsyncLoop(const SearchEngine& engine,
                              const std::vector<const ExtractedChart*>& qs,
                              IndexStrategy strategy, double seconds,
                              uint64_t seed, Tracer* tracer) {
   AsyncLoopResult r;
+  AsyncSearchService service(&engine, fcm::index::AsyncServiceOptions{});
   fcm::common::Rng rng(seed);
   std::vector<int> order(qs.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
@@ -500,6 +432,9 @@ AsyncLoopResult RunAsyncLoop(AsyncSearchService* service,
     std::future<std::vector<SearchHit>> future;
   };
   std::deque<Pending> pending;
+  const auto start = Clock::now();
+  const auto end = start + std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::duration<double>(seconds));
   auto submit = [&] {
     if (pos == order.size()) {
       rng.Shuffle(&order);
@@ -509,14 +444,15 @@ AsyncLoopResult RunAsyncLoop(AsyncSearchService* service,
     p.query = order[pos++];
     p.index = r.attempted++;
     p.submit_start = Clock::now();
-    p.future = service->Submit(*qs[static_cast<size_t>(p.query)], kTopK,
-                               strategy);
+    p.future = service.Submit(*qs[static_cast<size_t>(p.query)], kTopK,
+                              strategy);
     p.submit_end = Clock::now();
+    if (p.submit_end < end) {
+      r.submit_ms.push_back(MsBetween(p.submit_start, p.submit_end));
+    }
     pending.push_back(std::move(p));
   };
-  const auto start = Clock::now();
-  const auto end = start + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(seconds));
+  const double cpu0 = CpuSeconds();
   while (pending.size() < kInFlight) submit();
   while (!pending.empty()) {
     Pending& front = pending.front();
@@ -536,9 +472,8 @@ AsyncLoopResult RunAsyncLoop(AsyncSearchService* service,
       if (done < end) {
         const double ms = MsBetween(front.submit_start, done);
         r.latency_ms.push_back(ms);
-        const bool traced = tracer->enabled() && (front.index % 2 == 1);
-        (traced ? r.traced_ms : r.untraced_ms).push_back(ms);
-        if (traced) {
+        r.latency_query.push_back(front.query);
+        if (tracer->enabled()) {
           const int64_t root = tracer->Record("request", 0, front.index,
                                               front.submit_start, done);
           tracer->Record("async.submit", root, front.index,
@@ -552,19 +487,23 @@ AsyncLoopResult RunAsyncLoop(AsyncSearchService* service,
       r.served.push_back(std::move(s));
     }
     pending.pop_front();
-    if (done < end) submit();
+    if (done < end) {
+      submit();
+      r.react_ms.push_back(MsBetween(done, pending.back().submit_start));
+    }
   }
+  r.cpu_s = CpuSeconds() - cpu0;
+  service.Shutdown(true);
+  r.stats = service.stats();
   return r;
 }
 
 // ---- Setup ----
 
 struct SetupResult {
-  std::unique_ptr<SearchEngine> engine;
   std::vector<double> setup_s, build_encode_s, build_lsh_s, build_interval_s;
   std::vector<double> save_ms, open_ms;
   double snapshot_mb = 0.0;
-  bool ok = true;
 };
 
 double FileMb(const std::string& path) {
@@ -572,68 +511,67 @@ double FileMb(const std::string& path) {
   return f ? static_cast<double>(f.tellg()) / (1024.0 * 1024.0) : 0.0;
 }
 
-SetupResult SetUp(const Workload& w, const fcm::core::FcmModel& model,
-                  const fcm::table::DataLake& lake, int threads,
-                  const std::string& snapshot_path, Tracer* tracer) {
-  SetupResult r;
+/// One set-up as a deployment pays it: BuildWithOptions, plus SaveSnapshot
+/// and OpenSnapshot (mmap) on the snapshot-served workload. Appends its
+/// times to `r` and returns the engine to serve, or null on a failure.
+std::unique_ptr<SearchEngine> SetUpOnce(const Workload& w,
+                                        const fcm::core::FcmModel& model,
+                                        const fcm::table::DataLake& lake,
+                                        int threads,
+                                        const std::string& snapshot_path,
+                                        Tracer* tracer, int rep,
+                                        SetupResult* r) {
   fcm::index::SearchEngineOptions options;
   options.num_threads = threads;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
-    r.engine.reset();  // The previous rep's engine is gone before timing.
-    const uint64_t request = 1000000000ull + static_cast<uint64_t>(rep);
-    ScopedSpan root(tracer, "setup", 0, request);
-    auto built = std::make_unique<SearchEngine>(&model, &lake);
-    const auto t0 = Clock::now();
-    {
-      ScopedSpan span(tracer, "setup.build", root.id(), request);
-      built->BuildWithOptions(options);
-    }
-    double seconds = SecondsSince(t0);
-    const auto& bs = built->build_stats();
-    r.build_encode_s.push_back(bs.encode_seconds);
-    r.build_lsh_s.push_back(bs.lsh_build_seconds);
-    r.build_interval_s.push_back(bs.interval_build_seconds);
-    if (!w.from_snapshot) {
-      r.engine = std::move(built);
-      r.setup_s.push_back(seconds);
-      continue;
-    }
-    const auto t_save = Clock::now();
-    fcm::common::Status saved;
-    {
-      ScopedSpan span(tracer, "storage.save", root.id(), request);
-      saved = built->SaveSnapshot(snapshot_path);
-    }
-    const double save_ms = MsBetween(t_save, Clock::now());
-    built.reset();
-    if (!saved.ok()) {
-      std::fprintf(stderr, "perfbench: SaveSnapshot failed: %s\n",
-                   saved.ToString().c_str());
-      r.ok = false;
-      return r;
-    }
-    r.snapshot_mb = FileMb(snapshot_path);
-    fcm::index::SnapshotOpenOptions open_options;
-    open_options.num_threads = threads;
-    open_options.use_mmap = true;
-    const auto t_open = Clock::now();
-    auto opened = [&] {
-      ScopedSpan span(tracer, "storage.open", root.id(), request);
-      return SearchEngine::OpenSnapshot(snapshot_path, open_options);
-    }();
-    const double open_ms = MsBetween(t_open, Clock::now());
-    if (!opened.ok()) {
-      std::fprintf(stderr, "perfbench: OpenSnapshot failed: %s\n",
-                   opened.status().ToString().c_str());
-      r.ok = false;
-      return r;
-    }
-    r.engine = std::move(opened).ValueOrDie();
-    r.save_ms.push_back(save_ms);
-    r.open_ms.push_back(open_ms);
-    r.setup_s.push_back(seconds + (save_ms + open_ms) / 1e3);
+  const uint64_t request = 1000000000ull + static_cast<uint64_t>(rep);
+  ScopedSpan root(tracer, "setup", 0, request);
+  auto built = std::make_unique<SearchEngine>(&model, &lake);
+  const auto t0 = Clock::now();
+  {
+    ScopedSpan span(tracer, "setup.build", root.id(), request);
+    built->BuildWithOptions(options);
   }
-  return r;
+  const double seconds = SecondsSince(t0);
+  const auto& bs = built->build_stats();
+  r->build_encode_s.push_back(bs.encode_seconds);
+  r->build_lsh_s.push_back(bs.lsh_build_seconds);
+  r->build_interval_s.push_back(bs.interval_build_seconds);
+  if (!w.async_snapshot) {
+    r->setup_s.push_back(seconds);
+    return built;
+  }
+  const auto t_save = Clock::now();
+  fcm::common::Status saved;
+  {
+    ScopedSpan span(tracer, "storage.save", root.id(), request);
+    saved = built->SaveSnapshot(snapshot_path);
+  }
+  const double save_ms = MsBetween(t_save, Clock::now());
+  built.reset();
+  if (!saved.ok()) {
+    std::fprintf(stderr, "perfbench: SaveSnapshot failed: %s\n",
+                 saved.ToString().c_str());
+    return nullptr;
+  }
+  r->snapshot_mb = FileMb(snapshot_path);
+  fcm::index::SnapshotOpenOptions open_options;
+  open_options.num_threads = threads;
+  open_options.use_mmap = true;
+  const auto t_open = Clock::now();
+  auto opened = [&] {
+    ScopedSpan span(tracer, "storage.open", root.id(), request);
+    return SearchEngine::OpenSnapshot(snapshot_path, open_options);
+  }();
+  const double open_ms = MsBetween(t_open, Clock::now());
+  if (!opened.ok()) {
+    std::fprintf(stderr, "perfbench: OpenSnapshot failed: %s\n",
+                 opened.status().ToString().c_str());
+    return nullptr;
+  }
+  r->save_ms.push_back(save_ms);
+  r->open_ms.push_back(open_ms);
+  r->setup_s.push_back(seconds + (save_ms + open_ms) / 1e3);
+  return std::move(opened).ValueOrDie();
 }
 
 // ---- Idle ingestion (workloads without a writer) ----
@@ -732,30 +670,41 @@ std::vector<std::vector<SearchHit>> SearchAll(
 
 // ---- Per-layer probes (traced run only) ----
 
-/// Staged service time of each distinct query, one query at a time on
-/// an idle engine (the async overhead subtracts it from async latency).
-std::vector<double> ReplayServiceMs(const SearchEngine& engine,
-                                    const std::vector<const ExtractedChart*>& qs,
-                                    IndexStrategy strategy, Tracer* tracer,
-                                    uint64_t request_base) {
-  std::vector<double> ms(qs.size());
+/// Each distinct query replayed one at a time on the idle engine, twice:
+/// through Search (its service time, which the async overhead subtracts
+/// from async latency) and through the staged path under `tracer`.
+struct Replay {
+  std::vector<double> search_ms, staged_ms;
+};
+
+Replay ReplayQueries(const SearchEngine& engine,
+                     const std::vector<const ExtractedChart*>& qs,
+                     IndexStrategy strategy, Tracer* tracer,
+                     uint64_t request_base) {
+  Replay r;
   for (size_t i = 0; i < qs.size(); ++i) {
+    auto t0 = Clock::now();
+    engine.Search(*qs[i], kTopK, strategy);
+    r.search_ms.push_back(MsBetween(t0, Clock::now()));
     size_t pairs = 0;
-    const auto t0 = Clock::now();
+    t0 = Clock::now();
     StagedSearch(engine, *qs[i], strategy, tracer, request_base + i, &pairs);
-    ms[i] = MsBetween(t0, Clock::now());
+    r.staged_ms.push_back(MsBetween(t0, Clock::now()));
   }
-  return ms;
+  return r;
 }
 
-void AddAsyncMetrics(const OpenLoopResult& open,
-                     const fcm::index::AsyncServiceStats& stats,
+/// The async layer as one closed async loop saw it: the service's own
+/// batch counters, and each request's latency minus its query's service
+/// time (queue wait, coalescing and hand-offs).
+void AddAsyncMetrics(const AsyncLoopResult& loop,
                      const std::vector<double>& service_ms, Metrics* m) {
   std::vector<double> overhead;
-  for (size_t i = 0; i < open.latency_ms.size(); ++i) {
-    overhead.push_back(open.latency_ms[i] -
-                       service_ms[static_cast<size_t>(open.latency_query[i])]);
+  for (size_t i = 0; i < loop.latency_ms.size(); ++i) {
+    overhead.push_back(loop.latency_ms[i] -
+                       service_ms[static_cast<size_t>(loop.latency_query[i])]);
   }
+  const auto& stats = loop.stats;
   m->Add("async.batch_size_avg",
          stats.batches ? static_cast<double>(stats.completed) /
                              static_cast<double>(stats.batches)
@@ -764,8 +713,8 @@ void AddAsyncMetrics(const OpenLoopResult& open,
   m->Add("async.batches", static_cast<double>(stats.batches), "count");
   m->Add("async.overhead_ms_p50", Quantile(overhead, 0.5), "ms");
   m->Add("async.overhead_ms_p95", Quantile(overhead, 0.95), "ms");
-  m->Add("async.submit_block_ms_p95", Quantile(open.submit_ms, 0.95), "ms");
-  m->Add("loadgen.late_ms_p95", Quantile(open.late_ms, 0.95), "ms");
+  m->Add("async.submit_block_ms_p95", Quantile(loop.submit_ms, 0.95), "ms");
+  m->Add("loadgen.late_ms_p95", Quantile(loop.react_ms, 0.95), "ms");
 }
 
 /// CandidateStage under every strategy on the same queries (kept ratios
@@ -929,6 +878,11 @@ bool ParseArgs(int argc, char** argv, Args* a) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Large blocks always come from mmap and go back to the kernel when
+  // freed. Setting the threshold (to glibc's initial 128 KiB) turns off its
+  // dynamic growth, which left 0-12 MB more heap resident after set-up
+  // from run to run and so made serving_rss_mb bimodal.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
@@ -955,11 +909,16 @@ int main(int argc, char** argv) {
   Tracer untraced(false);
   OpCounts ops;
   uint64_t mismatches = 0;
-  // Wall seconds of each phase of the run, for diagnosing slow runs.
-  std::vector<std::pair<const char*, double>> phases;
+  // Wall seconds of each phase of the run and the peak resident set at
+  // its end, for diagnosing slow runs and memory.
+  struct Phase {
+    const char* name;
+    double seconds, peak_rss_mb;
+  };
+  std::vector<Phase> phases;
   auto phase_start = Clock::now();
   auto end_phase = [&](const char* name) {
-    phases.emplace_back(name, SecondsSince(phase_start));
+    phases.push_back({name, SecondsSince(phase_start), PeakRssMb()});
     phase_start = Clock::now();
   };
 
@@ -985,14 +944,18 @@ int main(int argc, char** argv) {
 
   // 3. Set-up.
   const std::string snapshot_path = args.work_dir + "/engine.snap";
-  SetupResult setup =
-      SetUp(w, model, bench.lake, threads, snapshot_path, &tracer);
-  if (!setup.ok) return 1;
+  SetupResult setup;
+  std::unique_ptr<SearchEngine> serving = SetUpOnce(
+      w, model, bench.lake, threads, snapshot_path, &tracer, 0, &setup);
+  if (!serving) return 1;
   end_phase("setup");
-  SearchEngine& engine = *setup.engine;
+  SearchEngine& engine = *serving;
+  // serving_rss_mb counts from here: what stays live plus what serving
+  // adds, not the transient peaks of training and the set-ups.
+  const bool rss_reset = ResetPeakRss();
 
   // 4. Warm-up and the per-query reference: Search on the serving epoch.
-  const EpochPin pin0 = engine.PinEpoch();
+  EpochPin pin0 = engine.PinEpoch();
   std::vector<std::vector<SearchHit>> reference =
       SearchAll(engine, queries, w.strategy, pin0);
   end_phase("reference");
@@ -1003,15 +966,14 @@ int main(int argc, char** argv) {
   std::vector<double> latency_all;  // For the deciles in the run record.
   std::vector<double> traced_ms, untraced_ms;
   size_t traced_pairs = 0, traced_queries = 0;
+  AsyncLoopResult async_loop;
+  double rss_mb = 0.0;
 
-  if (w.async) {
-    AsyncSearchService service(&engine, fcm::index::AsyncServiceOptions{});
-    const double cpu0 = CpuSeconds();
-    const AsyncLoopResult r = RunAsyncLoop(&service, queries, w.strategy,
-                                           args.seconds, args.seed ^ 0xbeef,
-                                           &tracer);
-    const double cpu = CpuSeconds() - cpu0;
-    service.Shutdown(true);
+  if (w.async_snapshot) {
+    async_loop = RunAsyncLoop(engine, queries, w.strategy, args.seconds,
+                              args.seed ^ 0xbeef, &tracer);
+    rss_mb = PeakRssMb();
+    const AsyncLoopResult& r = async_loop;
     ops.queries += r.attempted;
     ops.queries_failed += r.failed;
     mismatches += CountMismatches(r.served, reference);
@@ -1019,15 +981,14 @@ int main(int argc, char** argv) {
     latency_p95 = Quantile(r.latency_ms, 0.95);
     latency_all = r.latency_ms;
     throughput = static_cast<double>(r.completed_in_window) / r.wall_s;
-    cpu_per_query = cpu * 1e3 / static_cast<double>(r.served.size());
-    traced_ms = r.traced_ms;
-    untraced_ms = r.untraced_ms;
+    cpu_per_query = r.cpu_s * 1e3 / static_cast<double>(r.served.size());
   } else {
     const double cpu0 = CpuSeconds();
     const ClosedLoopResult r = RunClosedLoop(engine, queries, w.strategy,
                                              args.seconds, args.seed ^ 0xbeef,
                                              &tracer);
     const double cpu = CpuSeconds() - cpu0;
+    rss_mb = PeakRssMb();
     ops.queries += r.served.size();
     mismatches += CountMismatches(r.served, reference);
     latency_p50 = Quantile(r.latency_ms, 0.5);
@@ -1048,31 +1009,31 @@ int main(int argc, char** argv) {
           ? reference
           : SearchAll(engine, queries, IndexStrategy::kNoIndex, pin0);
   const Quality quality = Grade(reference, exhaustive, bench);
-
-  const double rss_mb = PeakRssMb();
   end_phase("grade");
 
   // 7. Per-layer probes, on the serving epoch.
   if (args.trace) {
-    // Staged service time of each distinct query on the idle engine; on
-    // hybrid-async, whose window ran no staged queries, this replay also
-    // gives the engine spans.
-    const std::vector<double> service_ms = ReplayServiceMs(
-        engine, queries, w.strategy, w.async ? &tracer : &untraced,
+    // Each distinct query on the idle engine: its Search service time for
+    // the async overhead, and the staged path traced. On hybrid-async,
+    // whose window ran no staged queries, these give the engine spans and
+    // the tracing overhead (staged and traced against Search).
+    const Replay replay = ReplayQueries(
+        engine, queries, w.strategy, w.async_snapshot ? &tracer : &untraced,
         3000000000ull);
-    // The async layer seen from an open loop on this workload's queries:
-    // a short Poisson schedule at half the single-client rate.
-    const double rate = 0.5 * 1e3 / std::max(Mean(service_ms), 1e-3);
-    AsyncSearchService service(&engine, fcm::index::AsyncServiceOptions{});
-    const Schedule schedule = MakeSchedule(
-        rate, std::min(3.0, 48.0 / rate), queries.size(), args.seed ^ 0xa5);
-    const OpenLoopResult open =
-        RunOpenLoop(&service, queries, w.strategy, schedule);
-    service.Shutdown(true);
-    ops.queries += open.attempted;
-    ops.queries_failed += open.failed;
-    mismatches += CountMismatches(open.served, reference);
-    AddAsyncMetrics(open, service.stats(), service_ms, &m);
+    if (w.async_snapshot) {
+      traced_ms = replay.staged_ms;
+      untraced_ms = replay.search_ms;
+    } else {
+      // The window bypassed the async queue: a short async loop over the
+      // same queries shows the layer on this workload's kNoIndex work.
+      async_loop = RunAsyncLoop(engine, queries, w.strategy,
+                                kAsyncProbeSeconds, args.seed ^ 0xa5,
+                                &untraced);
+      ops.queries += async_loop.attempted;
+      ops.queries_failed += async_loop.failed;
+      mismatches += CountMismatches(async_loop.served, reference);
+    }
+    AddAsyncMetrics(async_loop, replay.search_ms, &m);
 
     // pairs_per_query / score_us_per_pair: the span reducer adds the stage
     // times; this side records the counts they are divided by.
@@ -1102,7 +1063,7 @@ int main(int argc, char** argv) {
     // Ingest layer: fixed-size publishes on the idle engine (after every
     // check and probe above, since it grows the index).
     AddIngestMetrics(IdleIngest(&engine, bench.lake, &ops, &tracer), &m);
-    if (!w.from_snapshot) {
+    if (!w.async_snapshot) {
       // Storage layer on this workload's engine (compact after ingest).
       const auto t_save = Clock::now();
       const bool saved = engine.SaveSnapshot(snapshot_path).ok();
@@ -1116,6 +1077,22 @@ int main(int argc, char** argv) {
       setup.open_ms.push_back(MsBetween(t_open, Clock::now()));
       if (!opened) ++mismatches;
     }
+  }
+  end_phase("probes");
+
+  // The remaining set-ups, with the serving engine released as it was
+  // before the first.
+  pin0.reset();
+  serving.reset();
+  for (int rep = 1; rep < kSetupReps; ++rep) {
+    if (!SetUpOnce(w, model, bench.lake, threads, snapshot_path, &tracer, rep,
+                   &setup)) {
+      return 1;
+    }
+  }
+  end_phase("setup_after_serving");
+
+  if (args.trace) {
     m.Add("storage.save_ms", Median(setup.save_ms), "ms");
     m.Add("storage.open_ms", Median(setup.open_ms), "ms");
     m.Add("storage.snapshot_mb", setup.snapshot_mb, "MB");
@@ -1142,7 +1119,6 @@ int main(int argc, char** argv) {
     m.Add("serving_rss_mb", rss_mb, "MB");
     m.Add("setup_s", Median(setup.setup_s), "s");
   }
-  end_phase("probes");
   std::remove(snapshot_path.c_str());
   ops.queries_failed += mismatches;
 
@@ -1160,12 +1136,21 @@ int main(int argc, char** argv) {
                   Quantile(latency_all, d / 10.0));
     decile_json += buf;
   }
-  std::string phase_json;
-  for (const auto& [name, secs] : phases) {
+  std::string setup_json;
+  for (double x : setup.setup_s) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%s%.3f", setup_json.empty() ? "" : ", ", x);
+    setup_json += buf;
+  }
+  std::string phase_json, phase_rss_json;
+  for (const Phase& p : phases) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "%s\"%s\": %.3f",
-                  phase_json.empty() ? "" : ", ", name, secs);
+                  phase_json.empty() ? "" : ", ", p.name, p.seconds);
     phase_json += buf;
+    std::snprintf(buf, sizeof(buf), "%s\"%s\": %.1f",
+                  phase_rss_json.empty() ? "" : ", ", p.name, p.peak_rss_mb);
+    phase_rss_json += buf;
   }
 
   // Run record: inputs, configuration, machine and operation counts.
@@ -1183,7 +1168,9 @@ int main(int argc, char** argv) {
       "\"machine\": {\"nproc\": %d, \"cpu\": \"%s\", \"simd\": \"%s\", "
       "\"loadavg_start\": \"%s\", \"loadavg_end\": \"%s\", "
       "\"cpu_steal_pct\": %.2f}, "
-      "\"phase_s\": {%s}}}\n",
+      "\"setup_reps_s\": [%s], "
+      "\"phase_s\": {%s}, \"phase_peak_rss_mb\": {%s}, "
+      "\"peak_rss_reset_after_setup\": %s}}\n",
       w.name, static_cast<unsigned long long>(args.seed), args.seconds,
       args.trace ? 1 : 0, static_cast<unsigned long long>(kCorpusSeed),
       bench.lake.size(), queries.size(),
@@ -1200,7 +1187,8 @@ int main(int argc, char** argv) {
       JsonEscape(CpuModel()).c_str(),
       fcm::simd::TargetName(fcm::simd::ActiveTarget()),
       load_start.c_str(), LoadAverage().c_str(), steal_pct,
-      phase_json.c_str());
+      setup_json.c_str(), phase_json.c_str(), phase_rss_json.c_str(),
+      rss_reset ? "true" : "false");
   std::printf("{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "
               "\"metrics\": %s}\n",
               correct ? "true" : "false",

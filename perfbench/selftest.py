@@ -6,10 +6,9 @@
    prec_at_k, ndcg_at_k and recall_at_k, and both are correct.
 3. For each workload: a run with another seed is correct too.
 
-  python3 perfbench/selftest.py [--workloads scan-closed] [--seconds 3]
+  python3 perfbench/selftest.py
 """
 
-import argparse
 import json
 import os
 import subprocess
@@ -18,6 +17,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 DETERMINISTIC = ("prec_at_k", "ndcg_at_k", "recall_at_k")
+WORKLOADS = ("scan-closed", "hybrid-async")
+SECONDS = 3.0
+SEED = 7
 
 
 def run(workload, seed, seconds):
@@ -32,20 +34,14 @@ def run(workload, seed, seconds):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default="scan-closed,hybrid-async")
-    parser.add_argument("--seconds", type=float, default=3.0)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
     failures = []
     if subprocess.run([sys.executable, os.path.join(HERE, "spans.py"),
                        "--self-test"]).returncode != 0:
         failures.append("spans.py self-test")
-    for workload in args.workloads.split(","):
-        a = run(workload, args.seed, args.seconds)
-        b = run(workload, args.seed, args.seconds)
-        c = run(workload, args.seed + 1, args.seconds)
+    for workload in WORKLOADS:
+        a = run(workload, SEED, SECONDS)
+        b = run(workload, SEED, SECONDS)
+        c = run(workload, SEED + 1, SECONDS)
         for label, r in (("first", a), ("repeat", b), ("second seed", c)):
             if r is None or not r["correct"]:
                 failures.append(f"{workload}: {label} run failed")

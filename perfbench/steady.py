@@ -9,7 +9,6 @@ first's in the metric's worse direction.
 
   python3 perfbench/steady.py --workloads hybrid-async --seeds 5
   python3 perfbench/steady.py --seeds 10 --sets 2 --out runs.json
-  python3 perfbench/steady.py --from runs.json    # re-report saved runs
 """
 
 import argparse
@@ -73,16 +72,14 @@ def report(runs, bench):
                     continue
                 q1, med, q3, sp = spread(vals)
                 medians.append(med)
-                if m["name"] == "setup_s":
-                    verdict = "n/a (spread not gated)"
-                elif sp <= m["bound"] / 3:
+                if sp <= m["bound"] / 3:
                     verdict = "steady (< bound/3)"
                 elif sp <= m["bound"]:
                     verdict = "within bound"
                 else:
                     verdict, ok = "TOO NOISY", False
                 print(f"{m['name']:<24}{s:>4}{med:>12.5g}{q1:>12.5g}"
-                      f"{q3:>12.5g}{sp:>9.3f}{m['bound']:>7.2f}  {verdict}")
+                      f"{q3:>12.5g}{sp:>9.3f}{m['bound']:>7.3g}  {verdict}")
             if len(medians) >= 2:
                 first, last = medians[0], medians[-1]
                 worse = ((last - first) / first if m["better"] == "lower"
@@ -99,40 +96,30 @@ def main():
     parser.add_argument("--workloads", help="comma-separated; default all")
     parser.add_argument("--seeds", type=int, default=10,
                         help="runs per set, seeds 1..N")
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--sets", type=int, default=1)
-    parser.add_argument("--seconds", type=float,
-                        help="default: run_seconds from BENCHMARK.json")
     parser.add_argument("--out", help="save every run's result here")
-    parser.add_argument("--from", dest="from_file",
-                        help="report saved runs instead of running")
     args = parser.parse_args()
     bench = load_benchmark()
 
-    if args.from_file:
-        with open(args.from_file) as f:
-            runs = json.load(f)
-    else:
-        names = (args.workloads.split(",") if args.workloads else
-                 [w["name"] for w in bench["workloads"]])
-        seconds = args.seconds or bench["run_seconds"]
-        runs = []
-        for s in range(args.sets):
-            for name in names:
-                for seed in range(args.first_seed,
-                                  args.first_seed + args.seeds):
-                    run = run_once(name, seed, seconds)
-                    run["set"] = s
-                    runs.append(run)
-                    rec = run["record"] or {}
-                    machine = rec.get("machine", {})
-                    print(f"set {s} {name} seed {seed}: exit {run['exit']} "
-                          f"{run['wall_s']} s load "
-                          f"{machine.get('loadavg_start')} steal "
-                          f"{machine.get('cpu_steal_pct')}%", flush=True)
-                    if args.out:
-                        with open(args.out, "w") as f:
-                            json.dump(runs, f, indent=1)
+    names = (args.workloads.split(",") if args.workloads else
+             [w["name"] for w in bench["workloads"]])
+    seconds = bench["run_seconds"]
+    runs = []
+    for s in range(args.sets):
+        for name in names:
+            for seed in range(1, args.seeds + 1):
+                run = run_once(name, seed, seconds)
+                run["set"] = s
+                runs.append(run)
+                rec = run["record"] or {}
+                machine = rec.get("machine", {})
+                print(f"set {s} {name} seed {seed}: exit {run['exit']} "
+                      f"{run['wall_s']} s load "
+                      f"{machine.get('loadavg_start')} steal "
+                      f"{machine.get('cpu_steal_pct')}%", flush=True)
+                if args.out:
+                    with open(args.out, "w") as f:
+                        json.dump(runs, f, indent=1)
     return 0 if report(runs, bench) else 1
 
 
