@@ -254,55 +254,6 @@ BENCHMARK(BM_SimdAxpyF32)
     ->ArgNames({"n", "target"})
     ->ArgsProduct({{1024, 16384}, {0, 1, 2}});
 
-std::vector<int8_t> RandomI8(size_t n, uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<int8_t> v(n);
-  for (auto& x : v) {
-    // The quantizer's range contract: [-127, 127], never -128.
-    x = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-  }
-  return v;
-}
-
-void BM_SimdDotI8(benchmark::State& state) {
-  // Quantized-tier dot product; the GFLOP/s counter is the f32-equivalent
-  // multiply-accumulate rate (acceptance: >= 1.5x BM_SimdDotF32 on avx2).
-  BenchTarget target(state, state.range(1));
-  if (!target.ok()) return;
-  const size_t n = static_cast<size_t>(state.range(0));
-  const auto a = RandomI8(n, 111);
-  const auto b = RandomI8(n, 112);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::DotI8(a.data(), b.data(), n));
-  }
-  SetGflops(state, 2.0 * static_cast<double>(n));
-}
-BENCHMARK(BM_SimdDotI8)
-    ->ArgNames({"n", "target"})
-    ->ArgsProduct({{64, 1024, 16384}, {0, 1, 2}});
-
-void BM_SimdGemmI8F32(benchmark::State& state) {
-  // The mean-similarity prefilter shape: one quantized query row against
-  // a block of candidate rows, dequantized in the epilogue.
-  BenchTarget target(state, state.range(1));
-  if (!target.ok()) return;
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const size_t rows = 64;
-  const auto a = RandomI8(dim, 113);
-  const auto b = RandomI8(rows * dim, 114);
-  const auto scales = RandomF32(rows, 115);
-  std::vector<float> c(rows);
-  for (auto _ : state) {
-    simd::GemmI8F32(a.data(), b.data(), dim, dim, 0.02f, scales.data(),
-                    c.data(), rows);
-    benchmark::DoNotOptimize(c.data());
-  }
-  SetGflops(state, 2.0 * static_cast<double>(rows * dim));
-}
-BENCHMARK(BM_SimdGemmI8F32)
-    ->ArgNames({"dim", "target"})
-    ->ArgsProduct({{32, 128}, {0, 1, 2}});
-
 void BM_MatMulDispatch(benchmark::State& state) {
   // The end-to-end GEMM path (blocked loops + micro-kernel) per target;
   // flops = 2 n^3 per MatMul.

@@ -1,18 +1,15 @@
 // Search-pipeline throughput benchmark: index build and batched query
 // serving at 1/2/N threads over a synthetic lake, async-serving phases
 // (concurrent submitters against AsyncSearchService's futures queue in
-// closed- and open-loop shapes, static and adaptive batching, reporting
-// QPS plus closed-loop p50/p99 latency and the adaptive controller's
-// decision trace), a fault-injection phase (a keyed failpoint poisons a
-// known subset of request ids; the "faults" JSON section records recovery
-// QPS and blast-radius isolation), sharded-LSH build and
-// candidate-generation phases, and a "quant" phase comparing the int8
-// quantized embedding tier against f32 (memory footprint, QPS, top-k
-// recall with its gating floor, determinism, snapshot round-trip) over a
-// dim-32 model, and an "ingest" phase (serving QPS/p99 while a writer
-// appends tables at a fixed cadence with background + forced mid-stream
-// compaction, gated on the epoch-determinism verdict: the post-append
-// engine must rank bit-identically to a from-scratch build), emitting
+// closed- and open-loop shapes at a zero and a static coalesce window,
+// reporting QPS plus closed-loop p50/p99 latency), a fault-injection phase
+// (a keyed failpoint poisons a known subset of request ids; the "faults"
+// JSON section records recovery QPS and blast-radius isolation),
+// sharded-LSH build and candidate-generation phases, and an "ingest"
+// phase (serving QPS/p99 while a writer appends tables at a fixed cadence
+// with background + forced mid-stream compaction, gated on the
+// epoch-determinism verdict: the post-append engine must rank
+// bit-identically to a from-scratch build), emitting
 // machine-readable JSON (written to --out=PATH or the path in argv[1])
 // so perf PRs can track the BENCH_*.json trajectory.
 // A "machine" section (nproc, CPU model, active SIMD target) makes runs
@@ -27,9 +24,7 @@
 //   --out=PATH              also write the JSON here (same as argv[1])
 //   --async-queue=N         request-queue capacity        (default 64)
 //   --async-max-batch=N     micro-batch size cap          (default 16)
-//   --async-max-delay-ms=X  static coalesce window, also the adaptive
-//                           controller's window cap       (default 2.0)
-//   --async-adaptive=0|1    run the adaptive phases + comparison (def. 1)
+//   --async-max-delay-ms=X  static coalesce window        (default 2.0)
 //
 // Scale knobs: FCM_BENCH_TABLES (default 96), FCM_BENCH_QUERIES (default
 // 24), FCM_BENCH_LSH_ITEMS (default 20000), FCM_BENCH_ASYNC_REQUESTS
@@ -87,7 +82,6 @@ struct BenchFlags {
   size_t async_queue = 64;
   size_t async_max_batch = 16;
   double async_max_delay_ms = 2.0;
-  bool async_adaptive = true;
 };
 
 bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
@@ -110,16 +104,13 @@ bool ParseArgs(int argc, char** argv, BenchFlags* flags) {
       flags->async_max_batch = static_cast<size_t>(std::atoll(value.c_str()));
     } else if (ParseFlag(arg, "async-max-delay-ms", &value)) {
       flags->async_max_delay_ms = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "async-adaptive", &value)) {
-      flags->async_adaptive = value != "0" && value != "false";
     } else if (arg.rfind("--", 0) != 0 && flags->out.empty()) {
       flags->out = arg;  // Legacy positional output path.
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s'\nusage: %s [--out=PATH] "
                    "[--async-queue=N] [--async-max-batch=N] "
-                   "[--async-max-delay-ms=X] [--async-adaptive=0|1] "
-                   "[OUT_PATH]\n",
+                   "[--async-max-delay-ms=X] [OUT_PATH]\n",
                    arg.c_str(), argv[0]);
       return false;
     }
@@ -165,7 +156,6 @@ struct AsyncPhaseResult {
   bool identical = true;
   bool clean = false;
   fcm::index::AsyncServiceStats stats;
-  std::vector<fcm::index::AdaptiveBatchController::TraceEntry> trace;
 };
 
 AsyncPhaseResult RunAsyncPhase(
@@ -225,7 +215,6 @@ AsyncPhaseResult RunAsyncPhase(
   out.seconds = Seconds(t_phase);
   service.Shutdown();
   out.stats = service.stats();
-  out.trace = service.controller_trace();
   out.identical = identical.load();
   out.qps = static_cast<double>(requests) / std::max(out.seconds, 1e-9);
   if (!open_loop) {
@@ -253,19 +242,15 @@ std::vector<std::vector<float>> RandomEmbeddings(int n, int dim,
 }
 
 /// Per-kernel GFLOP/s for one dispatch target: the float32 dot product
-/// (LSH codes / GemmAccumulateBt shape), the full MatMul GEMM path, and
-/// the int8 quantized-tier kernels (GOPS = multiply-accumulate ops/s, the
-/// f32-equivalent work rate).
+/// (LSH codes / GemmAccumulateBt shape) and the full MatMul GEMM path.
 struct SimdKernelRates {
   fcm::simd::Target target;
   double dot_f32_gflops = 0.0;
   double gemm_gflops = 0.0;
-  double dot_i8_gops = 0.0;
-  double gemm_i8f32_gops = 0.0;
 };
 
 SimdKernelRates MeasureKernelRates(fcm::simd::Target target) {
-  SimdKernelRates out{target, 0.0, 0.0, 0.0, 0.0};
+  SimdKernelRates out{target, 0.0, 0.0};
   constexpr size_t kDotN = 4096;
   constexpr int kGemmN = 160;
   fcm::common::Rng rng(404);
@@ -294,44 +279,8 @@ SimdKernelRates MeasureKernelRates(fcm::simd::Target target) {
   const double gemm_secs = Seconds(t_gemm);
   out.gemm_gflops = 2.0 * std::pow(static_cast<double>(kGemmN), 3) *
                     kGemmReps / std::max(gemm_secs, 1e-9) / 1e9;
-  // Int8 quantized-tier kernels on the same dot shape: codes in
-  // [-127, 127] (the quantizer's range contract).
-  std::vector<int8_t> qa(kDotN), qb(kDotN);
-  for (size_t i = 0; i < kDotN; ++i) {
-    qa[i] = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-    qb[i] = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-  }
-  int64_t isink = 0;
-  const auto t_dot_i8 = Clock::now();
-  for (int r = 0; r < kDotReps; ++r) {
-    isink += fcm::simd::DotI8(qa.data(), qb.data(), kDotN);
-  }
-  const double dot_i8_secs = Seconds(t_dot_i8);
-  out.dot_i8_gops = 2.0 * static_cast<double>(kDotN) * kDotReps /
-                    std::max(dot_i8_secs, 1e-9) / 1e9;
-  // GEMM shape of the mean-similarity prefilter: one quantized query row
-  // against a block of candidate rows.
-  constexpr size_t kGemmRows = 64;
-  constexpr size_t kGemmDim = 64;
-  std::vector<int8_t> gb(kGemmRows * kGemmDim);
-  for (auto& x : gb) {
-    x = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-  }
-  std::vector<float> scales(kGemmRows, 0.01f), c(kGemmRows);
-  constexpr int kGemmI8Reps = 40000;
-  const auto t_gemm_i8 = Clock::now();
-  for (int r = 0; r < kGemmI8Reps; ++r) {
-    fcm::simd::GemmI8F32(qa.data(), gb.data(), kGemmDim, kGemmDim, 0.02f,
-                         scales.data(), c.data(), kGemmRows);
-    sink += c[0];
-  }
-  const double gemm_i8_secs = Seconds(t_gemm_i8);
-  out.gemm_i8f32_gops = 2.0 * static_cast<double>(kGemmRows * kGemmDim) *
-                        kGemmI8Reps / std::max(gemm_i8_secs, 1e-9) / 1e9;
-  // Keep the accumulated sinks observable so the loops cannot be elided.
-  if (sink == 12345.678f || isink == 987654321) {
-    std::fprintf(stderr, "%f %lld\n", sink, static_cast<long long>(isink));
-  }
+  // Keep the accumulated sink observable so the loops cannot be elided.
+  if (sink == 12345.678f) std::fprintf(stderr, "%f\n", sink);
   return out;
 }
 
@@ -521,8 +470,6 @@ int main(int argc, char** argv) {
   // measures the latency story (a static coalesce window inflates p99
   // when the queue never backs up); open loop measures the throughput
   // story (immediate dispatch forfeits coalescing when arrivals pause).
-  // The adaptive phases run the queue-depth controller, which must match
-  // the best static configuration on both axes from one configuration.
   const int async_requests = EnvInt("FCM_BENCH_ASYNC_REQUESTS", 160);
   const int async_submitters =
       std::max(1, EnvInt("FCM_BENCH_ASYNC_SUBMITTERS", 4));
@@ -541,70 +488,37 @@ int main(int argc, char** argv) {
   const double async_serial_qps = static_cast<double>(async_requests) /
                                   std::max(async_serial_seconds, 1e-9);
 
-  // The adaptive controller's window cap: the static window, floored so
-  // a delay-0 CLI config still leaves the controller room to coalesce.
-  // One variable so the options the phases run with and the max_delay_ms
-  // the JSON reports cannot drift apart.
-  const double adaptive_delay_cap_ms = std::max(flags.async_max_delay_ms, 0.5);
-  const auto make_options = [&](double delay_ms, bool adaptive) {
+  const auto make_options = [&](double delay_ms) {
     fcm::index::AsyncServiceOptions options;
     options.queue_capacity = flags.async_queue;
     options.backpressure = fcm::index::BackpressureMode::kBlock;
     options.max_batch_size = flags.async_max_batch;
     options.max_batch_delay_ms = delay_ms;
-    options.adaptive = adaptive;
-    if (adaptive) {
-      // Fair comparison: the controller's window cap is the static
-      // window, its size cap the static batch cap (inherited via 0).
-      options.adaptive_config.max_delay_ms = adaptive_delay_cap_ms;
-      options.adaptive_config.max_batch_size = 0;
-    }
     return options;
   };
   struct AsyncPhase {
     const char* name;
     bool open_loop;
-    bool adaptive;
-    double delay_ms;  // Static window; ignored when adaptive.
+    double delay_ms;
     AsyncPhaseResult result;
   };
   std::vector<AsyncPhase> phases = {
-      {"closed_delay0", false, false, 0.0, {}},
-      {"closed_static", false, false, flags.async_max_delay_ms, {}},
-      {"open_delay0", true, false, 0.0, {}},
-      {"open_static", true, false, flags.async_max_delay_ms, {}},
+      {"closed_delay0", false, 0.0, {}},
+      {"closed_static", false, flags.async_max_delay_ms, {}},
+      {"open_delay0", true, 0.0, {}},
+      {"open_static", true, flags.async_max_delay_ms, {}},
   };
-  if (flags.async_adaptive) {
-    phases.push_back({"closed_adaptive", false, true, 0.0, {}});
-    phases.push_back({"open_adaptive", true, true, 0.0, {}});
-  }
   bool async_all_clean = true;
   for (auto& phase : phases) {
     phase.result = RunAsyncPhase(
-        hw_engine, make_options(phase.delay_ms, phase.adaptive), queries,
+        hw_engine, make_options(phase.delay_ms), queries,
         async_reference, k, strategy, async_requests, async_submitters,
         phase.open_loop);
     async_all_clean = async_all_clean && phase.result.clean;
   }
   all_identical = all_identical && async_all_clean;
 
-  // Adaptive acceptance numbers: one adaptive configuration must match
-  // (within measurement noise on a loaded container) the best static
-  // open-loop QPS and the delay-0 closed-loop p99. Recorded in the JSON;
-  // correctness (identical hits, zero drops) gates the exit code, perf
-  // ratios are trajectory data.
   const AsyncPhaseResult* closed_delay0 = &phases[0].result;
-  const AsyncPhaseResult* closed_adaptive = nullptr;
-  const AsyncPhaseResult* open_adaptive = nullptr;
-  double best_static_open_qps = 0.0;
-  for (const auto& phase : phases) {
-    if (phase.open_loop && !phase.adaptive) {
-      best_static_open_qps = std::max(best_static_open_qps, phase.result.qps);
-    }
-    if (phase.adaptive) {
-      (phase.open_loop ? open_adaptive : closed_adaptive) = &phase.result;
-    }
-  }
 
   // ---- Fault-injection serving: blast-radius isolation + recovery ----
   // Submitting from one thread makes request ids deterministic (the
@@ -624,7 +538,7 @@ int main(int argc, char** argv) {
     bool isolation_ok = true;  // Failures exactly on the poisoned set.
     fcm::index::AsyncServiceStats stats;
   };
-  auto fault_options = make_options(0.0, false);
+  auto fault_options = make_options(0.0);
   // The breaker is covered by the stress tests; here it is disabled so
   // the phase isolates the per-batch recovery cost.
   fault_options.breaker_threshold = 0;
@@ -798,169 +712,6 @@ int main(int argc, char** argv) {
   std::remove(snap_path.c_str());
   all_identical = all_identical && snapshot_ok && snapshot_identical;
 
-  // ---- Quantized embedding tier: int8 vs f32 ----
-  // A dim-32 model (the repo default width) so the footprint story is
-  // honest: per row, int8 costs dim + 4 scale bytes vs 4*dim for f32 —
-  // 0.281x at dim 32. Both engines run the mean-similarity prefilter so
-  // the comparison isolates precision; the f32 no-prefilter engine is the
-  // exhaustive baseline recall is also measured against. Candidate sets
-  // may legitimately differ between precisions (LSH codes index the
-  // dequantized means); the final DTW scoring path stays float in both.
-  const int quant_prefilter = 32;
-  const int quant_queries =
-      std::min<int>(12, static_cast<int>(queries.size()));
-  fcm::core::FcmConfig quant_config;  // Defaults: embed_dim 32.
-  quant_config.num_layers = 1;
-  fcm::core::FcmModel quant_model(quant_config);
-  const auto build_quant_engine = [&](fcm::index::EmbeddingPrecision prec,
-                                      int prefilter, int threads) {
-    fcm::index::SearchEngineOptions options;
-    options.precision = prec;
-    options.mean_prefilter = prefilter;
-    options.num_threads = threads;
-    auto engine =
-        std::make_unique<fcm::index::SearchEngine>(&quant_model, &lake);
-    engine->BuildWithOptions(options);
-    return engine;
-  };
-  const auto t_quant_f32_build = Clock::now();
-  const auto quant_f32 = build_quant_engine(
-      fcm::index::EmbeddingPrecision::kFloat32, quant_prefilter, hardware);
-  const double quant_f32_build_seconds = Seconds(t_quant_f32_build);
-  const auto t_quant_i8_build = Clock::now();
-  const auto quant_i8 = build_quant_engine(
-      fcm::index::EmbeddingPrecision::kInt8, quant_prefilter, hardware);
-  const double quant_i8_build_seconds = Seconds(t_quant_i8_build);
-  const auto quant_f32_full = build_quant_engine(
-      fcm::index::EmbeddingPrecision::kFloat32, 0, hardware);
-  const auto quant_i8_serial = build_quant_engine(
-      fcm::index::EmbeddingPrecision::kInt8, quant_prefilter, 1);
-
-  const auto quant_strategy = fcm::index::IndexStrategy::kNoIndex;
-  const auto time_quant_qps = [&](fcm::index::SearchEngine& engine,
-                                  std::vector<std::vector<
-                                      fcm::index::SearchHit>>* results) {
-    constexpr int kReps = 3;
-    if (results != nullptr) results->clear();
-    const auto t0 = Clock::now();
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (int q = 0; q < quant_queries; ++q) {
-        auto hits = engine.Search(queries[static_cast<size_t>(q)], k,
-                                  quant_strategy);
-        if (rep == 0 && results != nullptr) {
-          results->push_back(std::move(hits));
-        }
-      }
-    }
-    return static_cast<double>(kReps * quant_queries) /
-           std::max(Seconds(t0), 1e-9);
-  };
-  std::vector<std::vector<fcm::index::SearchHit>> quant_f32_hits,
-      quant_i8_hits, quant_full_hits;
-  const double quant_f32_qps = time_quant_qps(*quant_f32, &quant_f32_hits);
-  const double quant_i8_qps = time_quant_qps(*quant_i8, &quant_i8_hits);
-  const double quant_full_qps =
-      time_quant_qps(*quant_f32_full, &quant_full_hits);
-
-  // Top-k recall of the int8 tier: average id-set overlap with the f32
-  // prefilter engine (isolates quantization) and with the exhaustive f32
-  // engine (end-to-end), plus rank-1 agreement. The floor is the
-  // acceptance contract run_benchmarks.sh gates on.
-  const double quant_recall_floor = 0.95;
-  const auto topk_overlap =
-      [&](const std::vector<std::vector<fcm::index::SearchHit>>& got,
-          const std::vector<std::vector<fcm::index::SearchHit>>& want) {
-        double sum = 0.0;
-        size_t top1 = 0;
-        for (size_t q = 0; q < got.size(); ++q) {
-          size_t common = 0;
-          for (const auto& g : got[q]) {
-            for (const auto& w : want[q]) {
-              if (g.table_id == w.table_id) {
-                ++common;
-                break;
-              }
-            }
-          }
-          const size_t denom = std::max<size_t>(want[q].size(), 1);
-          sum += static_cast<double>(common) / static_cast<double>(denom);
-          if (!got[q].empty() && !want[q].empty() &&
-              got[q][0].table_id == want[q][0].table_id) {
-            ++top1;
-          }
-        }
-        return std::make_pair(
-            got.empty() ? 0.0 : sum / static_cast<double>(got.size()),
-            got.empty() ? 0.0
-                        : static_cast<double>(top1) /
-                              static_cast<double>(got.size()));
-      };
-  const auto recall_vs_f32 = topk_overlap(quant_i8_hits, quant_f32_hits);
-  const auto recall_vs_full = topk_overlap(quant_i8_hits, quant_full_hits);
-
-  // Determinism contract for the int8 mode: serial Search, pooled Search,
-  // and pooled SearchBatch must agree bit-for-bit, per strategy.
-  bool quant_deterministic = true;
-  for (const auto s : {fcm::index::IndexStrategy::kNoIndex,
-                       fcm::index::IndexStrategy::kLsh}) {
-    std::vector<fcm::vision::ExtractedChart> qset(
-        queries.begin(), queries.begin() + quant_queries);
-    const auto batched = quant_i8->SearchBatch(qset, k, s);
-    for (int q = 0; q < quant_queries; ++q) {
-      const auto serial =
-          quant_i8_serial->Search(queries[static_cast<size_t>(q)], k, s);
-      const auto pooled =
-          quant_i8->Search(queries[static_cast<size_t>(q)], k, s);
-      quant_deterministic = quant_deterministic &&
-                            SameHits(serial, pooled) &&
-                            SameHits(serial, batched[static_cast<size_t>(q)]);
-    }
-  }
-
-  // Int8 snapshot round-trip: mmap and heap backings must rank exactly
-  // like the engine that saved them.
-  const std::string quant_snap_path = "/tmp/fcm_bench_quant.fcmsnap";
-  bool quant_snapshot_ok =
-      quant_i8->SaveSnapshot(quant_snap_path).ok();
-  bool quant_snapshot_identical = quant_snapshot_ok;
-  size_t quant_snapshot_bytes = 0;
-  if (quant_snapshot_ok) {
-    for (const bool use_mmap : {true, false}) {
-      fcm::index::SnapshotOpenOptions open_options;
-      open_options.use_mmap = use_mmap;
-      auto snap =
-          fcm::index::SearchEngine::OpenSnapshot(quant_snap_path,
-                                                 open_options);
-      quant_snapshot_ok = quant_snapshot_ok && snap.ok();
-      if (!snap.ok()) {
-        quant_snapshot_identical = false;
-        break;
-      }
-      for (const auto s : {fcm::index::IndexStrategy::kNoIndex,
-                           fcm::index::IndexStrategy::kLsh}) {
-        for (int q = 0; q < quant_queries; ++q) {
-          quant_snapshot_identical =
-              quant_snapshot_identical &&
-              SameHits(
-                  snap.value()->Search(queries[static_cast<size_t>(q)], k,
-                                       s),
-                  quant_i8->Search(queries[static_cast<size_t>(q)], k, s));
-        }
-      }
-    }
-    auto reader = fcm::storage::SnapshotReader::Open(quant_snap_path);
-    if (reader.ok()) quant_snapshot_bytes = reader.value()->file_bytes();
-  } else {
-    quant_snapshot_identical = false;
-  }
-  std::remove(quant_snap_path.c_str());
-  const double quant_bytes_ratio =
-      static_cast<double>(quant_i8->embedding_bytes()) /
-      std::max<double>(static_cast<double>(quant_f32->embedding_bytes()),
-                       1.0);
-  all_identical = all_identical && quant_deterministic &&
-                  quant_snapshot_ok && quant_snapshot_identical;
-
   // ---- Live ingestion: serving QPS/p99 while appending at a fixed rate --
   // One submitter drives the async service closed-loop while a writer
   // thread appends the second half of the lake in fixed-size batches on a
@@ -991,7 +742,7 @@ int main(int argc, char** argv) {
   uint64_t background_compactions = 0;
   {
     fcm::index::AsyncSearchService ingest_service(&ingest_engine,
-                                                  make_options(0.0, false));
+                                                  make_options(0.0));
     fcm::index::CompactorOptions compactor_options;
     compactor_options.max_delta_segments = 4;
     compactor_options.poll_interval = std::chrono::milliseconds(10);
@@ -1132,19 +883,10 @@ int main(int argc, char** argv) {
         buf, sizeof(buf),
         "      {\"target\": \"%s\", \"dot_f32_gflops\": %.2f, "
         "\"gemm_gflops\": %.2f, \"dot_speedup_vs_scalar\": %.2f, "
-        "\"gemm_speedup_vs_scalar\": %.2f,\n",
+        "\"gemm_speedup_vs_scalar\": %.2f}%s\n",
         fcm::simd::TargetName(r.target), r.dot_f32_gflops, r.gemm_gflops,
         r.dot_f32_gflops / std::max(scalar_dot, 1e-9),
-        r.gemm_gflops / std::max(scalar_gemm, 1e-9));
-    json += buf;
-    // Int8 quantized-tier kernels; the vs-f32 ratio on the same target is
-    // the quantization speedup story (acceptance: >= 1.5 on avx2).
-    std::snprintf(
-        buf, sizeof(buf),
-        "       \"dot_i8_gops\": %.2f, \"gemm_i8f32_gops\": %.2f, "
-        "\"dot_i8_speedup_vs_f32\": %.2f}%s\n",
-        r.dot_i8_gops, r.gemm_i8f32_gops,
-        r.dot_i8_gops / std::max(r.dot_f32_gflops, 1e-9),
+        r.gemm_gflops / std::max(scalar_gemm, 1e-9),
         i + 1 < simd_rates.size() ? "," : "");
     json += buf;
   }
@@ -1202,11 +944,10 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "    \"requests\": %d, \"submitters\": %d, "
                 "\"queue_capacity\": %zu, \"max_batch_size\": %zu, "
-                "\"static_max_delay_ms\": %.2f, \"adaptive_enabled\": %s, "
+                "\"static_max_delay_ms\": %.2f, "
                 "\"backpressure\": \"block\",\n",
                 async_requests, async_submitters, flags.async_queue,
-                flags.async_max_batch, flags.async_max_delay_ms,
-                flags.async_adaptive ? "true" : "false");
+                flags.async_max_batch, flags.async_max_delay_ms);
   json += buf;
   std::snprintf(buf, sizeof(buf),
                 "    \"serial_seconds\": %.4f, \"serial_qps\": %.2f,\n",
@@ -1242,10 +983,9 @@ int main(int argc, char** argv) {
     const auto& r = phase.result;
     std::snprintf(buf, sizeof(buf),
                   "      {\"name\": \"%s\", \"loop\": \"%s\", "
-                  "\"batching\": \"%s\", \"max_delay_ms\": %.2f,\n",
+                  "\"max_delay_ms\": %.2f,\n",
                   phase.name, phase.open_loop ? "open" : "closed",
-                  phase.adaptive ? "adaptive" : "static",
-                  phase.adaptive ? adaptive_delay_cap_ms : phase.delay_ms);
+                  phase.delay_ms);
     json += buf;
     std::snprintf(buf, sizeof(buf),
                   "       \"seconds\": %.4f, \"qps\": %.2f, "
@@ -1266,84 +1006,17 @@ int main(int argc, char** argv) {
                   "       \"batches\": %llu, \"max_coalesced\": %zu, "
                   "\"avg_coalesced\": %.2f, \"rejected\": %llu, "
                   "\"cancelled\": %llu, \"failed\": %llu, "
-                  "\"identical_topk\": %s%s\n",
+                  "\"identical_topk\": %s\n",
                   static_cast<unsigned long long>(r.stats.batches),
                   r.stats.max_coalesced, avg_coalesced,
                   static_cast<unsigned long long>(r.stats.rejected),
                   static_cast<unsigned long long>(r.stats.cancelled),
                   static_cast<unsigned long long>(r.stats.failed),
-                  r.clean ? "true" : "false", phase.adaptive ? "," : "");
+                  r.clean ? "true" : "false");
     json += buf;
-    if (phase.adaptive) {
-      const auto& c = r.stats.controller;
-      std::snprintf(buf, sizeof(buf),
-                    "       \"controller\": {\"decisions\": %llu, "
-                    "\"grows\": %llu, \"decays\": %llu, \"holds\": %llu, "
-                    "\"idle_resets\": %llu, \"max_window_ms\": %.3f, "
-                    "\"max_batch_size\": %zu, \"ewma_service_ms\": %.3f}\n",
-                    static_cast<unsigned long long>(c.decisions),
-                    static_cast<unsigned long long>(c.grows),
-                    static_cast<unsigned long long>(c.decays),
-                    static_cast<unsigned long long>(c.holds),
-                    static_cast<unsigned long long>(c.idle_resets),
-                    c.max_window_ms, c.max_batch_size, c.ewma_service_ms);
-      json += buf;
-    }
     json += i + 1 < phases.size() ? "      },\n" : "      }\n";
   }
-  json += "    ]";
-  if (flags.async_adaptive && open_adaptive != nullptr &&
-      closed_adaptive != nullptr) {
-    // Acceptance comparison: adaptive vs best static open-loop QPS and
-    // vs delay-0 closed-loop p99 (ratios >= / <= 1 mean "beats"; the
-    // match booleans allow measurement noise on a loaded container).
-    json += ",\n";
-    std::snprintf(buf, sizeof(buf),
-                  "    \"adaptive_summary\": {\n"
-                  "      \"open_qps_best_static\": %.2f, "
-                  "\"open_qps_adaptive\": %.2f, \"open_qps_ratio\": %.3f,\n",
-                  best_static_open_qps, open_adaptive->qps,
-                  open_adaptive->qps / std::max(best_static_open_qps, 1e-9));
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "      \"closed_p99_delay0_ms\": %.3f, "
-        "\"closed_p99_adaptive_ms\": %.3f, \"closed_p99_ratio\": %.3f,\n",
-        closed_delay0->p99_ms, closed_adaptive->p99_ms,
-        closed_adaptive->p99_ms / std::max(closed_delay0->p99_ms, 1e-9));
-    json += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "      \"matches_best_static_open_qps\": %s, "
-        "\"matches_delay0_closed_p99\": %s\n    },\n",
-        open_adaptive->qps >= 0.9 * best_static_open_qps ? "true" : "false",
-        closed_adaptive->p99_ms <= 1.25 * closed_delay0->p99_ms ? "true"
-                                                                : "false");
-    json += buf;
-    // Controller decision trace from the open-loop adaptive phase (the
-    // one that exercises growth): queue depth in, window / size cap out.
-    const auto& trace = open_adaptive->trace;
-    constexpr size_t kMaxTraceEntries = 64;
-    const size_t emit = std::min(trace.size(), kMaxTraceEntries);
-    std::snprintf(buf, sizeof(buf),
-                  "    \"controller_trace\": {\"phase\": \"open_adaptive\", "
-                  "\"total_decisions\": %zu, \"entries\": [\n",
-                  trace.size());
-    json += buf;
-    for (size_t i = 0; i < emit; ++i) {
-      const auto& e = trace[i];
-      std::snprintf(
-          buf, sizeof(buf),
-          "      {\"t_ms\": %.3f, \"queue_depth\": %zu, "
-          "\"window_ms\": %.3f, \"batch_size\": %zu, \"event\": \"%s\"}%s\n",
-          e.t_ms, e.queue_depth, e.window_ms, e.batch_size,
-          fcm::index::AdaptiveBatchController::EventName(e.event),
-          i + 1 < emit ? "," : "");
-      json += buf;
-    }
-    json += "    ]}";
-  }
-  json += "\n  },\n";
+  json += "    ]\n  },\n";
   // Fault-injection phase. Key names deliberately avoid "rejected" /
   // "cancelled" / "failed": tools/run_benchmarks.sh sums those as
   // block-mode drops, and these failures are injected on purpose.
@@ -1429,53 +1102,6 @@ int main(int argc, char** argv) {
                 "    \"save_open_ok\": %s, \"identical_topk\": %s\n  },\n",
                 snapshot_ok ? "true" : "false",
                 snapshot_identical ? "true" : "false");
-  json += buf;
-  // Quantized embedding tier. Key names deliberately avoid "rejected" /
-  // "cancelled" / "failed" (run_benchmarks.sh sums those as drops).
-  json += "  \"quant\": {\n";
-  std::snprintf(buf, sizeof(buf),
-                "    \"embed_dim\": %d, \"tables\": %d, \"queries\": %d, "
-                "\"k\": %d, \"mean_prefilter\": %d, \"strategy\": "
-                "\"no_index\",\n",
-                quant_config.embed_dim, num_tables, quant_queries, k,
-                quant_prefilter);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"embedding_bytes_f32\": %zu, "
-                "\"embedding_bytes_int8\": %zu, "
-                "\"embedding_bytes_ratio\": %.4f, "
-                "\"bytes_ratio_ceiling\": 0.30,\n",
-                quant_f32->embedding_bytes(), quant_i8->embedding_bytes(),
-                quant_bytes_ratio);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"build_seconds_f32\": %.4f, "
-                "\"build_seconds_int8\": %.4f, "
-                "\"snapshot_file_bytes\": %zu,\n",
-                quant_f32_build_seconds, quant_i8_build_seconds,
-                quant_snapshot_bytes);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"qps_f32\": %.2f, \"qps_int8\": %.2f, "
-                "\"qps_f32_exhaustive\": %.2f, "
-                "\"prefilter_speedup_vs_exhaustive\": %.3f,\n",
-                quant_f32_qps, quant_i8_qps, quant_full_qps,
-                quant_i8_qps / std::max(quant_full_qps, 1e-9));
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"topk_recall_vs_f32\": %.4f, "
-                "\"top1_agreement_vs_f32\": %.4f, "
-                "\"topk_recall_vs_f32_exhaustive\": %.4f, "
-                "\"recall_floor\": %.2f,\n",
-                recall_vs_f32.first, recall_vs_f32.second,
-                recall_vs_full.first, quant_recall_floor);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"determinism_ok\": %s, \"snapshot_save_open_ok\": %s, "
-                "\"snapshot_identical_topk\": %s\n  },\n",
-                quant_deterministic ? "true" : "false",
-                quant_snapshot_ok ? "true" : "false",
-                quant_snapshot_identical ? "true" : "false");
   json += buf;
   // Live-ingestion phase. Key names deliberately avoid "rejected" /
   // "cancelled" / "failed" (run_benchmarks.sh sums those as drops).

@@ -82,29 +82,10 @@ double ScalarDtwRowF64(double xi, const double* y, const double* prev,
   return row_min;
 }
 
-int32_t ScalarDotI8(const int8_t* a, const int8_t* b, size_t n) {
-  int32_t s = 0;
-  for (size_t i = 0; i < n; ++i) {
-    s += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return s;
-}
-
-void ScalarGemmI8F32(const int8_t* a, const int8_t* b, size_t b_stride,
-                     size_t n, float scale_a, const float* scale_b, float* c,
-                     size_t m) {
-  for (size_t r = 0; r < m; ++r) {
-    const int32_t acc = ScalarDotI8(a, b + r * b_stride, n);
-    // The pinned dequant epilogue shared by every target (see simd.h).
-    c[r] = static_cast<float>(acc) * (scale_a * scale_b[r]);
-  }
-}
-
 constexpr KernelTable kScalarKernels = {
     Target::kScalar,     ScalarDotF32,       ScalarAxpyF32,
     ScalarGemmMicroF32,  ScalarDotF64,       ScalarReduceSumF64,
     ScalarSumSqDiffF64,  ScalarMinMaxF64,    ScalarDtwRowF64,
-    ScalarDotI8,         ScalarGemmI8F32,
 };
 
 // ---- Dispatch resolution ----

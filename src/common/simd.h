@@ -25,20 +25,11 @@
 // by tests/simd_test.cc). Exception: DtwRowF64 is a min-plus recurrence
 // whose vector form performs the same IEEE operations in the same
 // per-element order, so it is bit-identical under every target.
-//
-// The int8 kernels (DotI8, GemmI8F32) are stronger: integer accumulation
-// is exact and associative, so reassociating it is invisible — every
-// target returns the same bits for the same input, and the one float
-// epilogue in GemmI8F32 is the same pinned IEEE expression everywhere.
-// That exactness is what lets the quantized embedding tier keep the
-// engine's bit-identical determinism contract (see index/search_engine.h)
-// with no per-target tolerance at all.
 
 #ifndef FCM_COMMON_SIMD_H_
 #define FCM_COMMON_SIMD_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace fcm::simd {
@@ -90,26 +81,6 @@ struct KernelTable {
   double (*dtw_row_f64)(double xi, const double* y, const double* prev,
                         double* cur, double* cost, size_t j_lo, size_t j_hi);
 
-  /// sum_i a[i] * b[i] over int8 operands, accumulated exactly in int32.
-  /// Preconditions: operands lie in [-127, 127] (the symmetric quantizer's
-  /// range — the AVX2 maddubs idiom needs |a|*|b'| pair sums < 2^15, and
-  /// -128 would break the |a| <= 127 bound) and n <= 2^17 so the i32
-  /// accumulator cannot overflow (127*127*2^17 < 2^31). Bit-identical
-  /// across targets.
-  int32_t (*dot_i8)(const int8_t* a, const int8_t* b, size_t n);
-
-  /// Quantized row-block scoring micro-kernel (int8 x f32 "GEMM"): one
-  /// quantized query row `a` (n int8 values, scale `scale_a`) against m
-  /// quantized rows of `b` (row r starts at b + r * b_stride; b_stride >=
-  /// n), dequantizing inside the accumulation:
-  ///   c[r] = float(sum_i a[i] * b[r*b_stride + i]) * (scale_a * scale_b[r])
-  /// c is overwritten, not accumulated. Same operand preconditions as
-  /// dot_i8; the dequant epilogue is the pinned expression above (int32
-  /// sum converted to float first, the two scales multiplied together) in
-  /// every implementation, so results are bit-identical across targets.
-  void (*gemm_i8f32)(const int8_t* a, const int8_t* b, size_t b_stride,
-                     size_t n, float scale_a, const float* scale_b, float* c,
-                     size_t m);
 };
 
 /// The active kernel table. Resolved once (thread-safe) on first use from
@@ -183,14 +154,6 @@ inline void MinMaxF64(const double* x, size_t n, double* mn, double* mx) {
 inline double DtwRowF64(double xi, const double* y, const double* prev,
                         double* cur, double* cost, size_t j_lo, size_t j_hi) {
   return Active().dtw_row_f64(xi, y, prev, cur, cost, j_lo, j_hi);
-}
-inline int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  return Active().dot_i8(a, b, n);
-}
-inline void GemmI8F32(const int8_t* a, const int8_t* b, size_t b_stride,
-                      size_t n, float scale_a, const float* scale_b, float* c,
-                      size_t m) {
-  Active().gemm_i8f32(a, b, b_stride, n, scale_a, scale_b, c, m);
 }
 
 // Implementation hooks for the per-target translation units; each returns

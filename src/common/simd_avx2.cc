@@ -249,83 +249,10 @@ double Avx2DtwRowF64(double xi, const double* y, const double* prev,
   return row_min;
 }
 
-/// Horizontal sum of 8 int32 lanes.
-inline int32_t HorizontalSum(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(1, 0, 3, 2)));
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(lo);
-}
-
-/// 32-lane int8 multiply-accumulate into 8 int32 lanes: AVX2 has no
-/// s8 x s8 multiply, so route the product through the unsigned-signed
-/// maddubs idiom — |a| * (b * sign(a)) == a * b element-wise, |a| <= 127
-/// fits u8, and each i16 pair sum is <= 2 * 127 * 127 < 2^15 (why the
-/// kernels require operands in [-127, 127]; see simd.h). madd then widens
-/// the pairs into exact i32 lanes.
-inline __m256i MulAccI8(__m256i acc, __m256i va, __m256i vb) {
-  const __m256i abs_a = _mm256_abs_epi8(va);
-  const __m256i signed_b = _mm256_sign_epi8(vb, va);
-  const __m256i pairs16 = _mm256_maddubs_epi16(abs_a, signed_b);
-  return _mm256_add_epi32(acc,
-                          _mm256_madd_epi16(pairs16, _mm256_set1_epi16(1)));
-}
-
-/// Shared i32 accumulation core of DotI8 and GemmI8F32. Integer adds are
-/// exact, so two accumulators and a scalar tail still return the same
-/// bits as the scalar kernel.
-inline int32_t Avx2DotI8Core(const int8_t* a, const int8_t* b, size_t n) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    acc0 = MulAccI8(acc0,
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(a + i)),
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(b + i)));
-    acc1 = MulAccI8(acc1,
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(a + i + 32)),
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(b + i + 32)));
-  }
-  if (i + 32 <= n) {
-    acc0 = MulAccI8(acc0,
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(a + i)),
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(b + i)));
-    i += 32;
-  }
-  int32_t s = HorizontalSum(_mm256_add_epi32(acc0, acc1));
-  for (; i < n; ++i) {
-    s += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return s;
-}
-
-int32_t Avx2DotI8(const int8_t* a, const int8_t* b, size_t n) {
-  return Avx2DotI8Core(a, b, n);
-}
-
-void Avx2GemmI8F32(const int8_t* a, const int8_t* b, size_t b_stride,
-                   size_t n, float scale_a, const float* scale_b, float* c,
-                   size_t m) {
-  for (size_t r = 0; r < m; ++r) {
-    const int32_t acc = Avx2DotI8Core(a, b + r * b_stride, n);
-    // The pinned dequant epilogue shared by every target (see simd.h).
-    c[r] = static_cast<float>(acc) * (scale_a * scale_b[r]);
-  }
-}
-
 constexpr KernelTable kAvx2Kernels = {
     Target::kAvx2,     Avx2DotF32,       Avx2AxpyF32,
     Avx2GemmMicroF32,  Avx2DotF64,       Avx2ReduceSumF64,
     Avx2SumSqDiffF64,  Avx2MinMaxF64,    Avx2DtwRowF64,
-    Avx2DotI8,         Avx2GemmI8F32,
 };
 
 }  // namespace

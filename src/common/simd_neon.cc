@@ -181,45 +181,10 @@ double NeonDtwRowF64(double xi, const double* y, const double* prev,
   return row_min;
 }
 
-/// Shared i32 accumulation core of DotI8 and GemmI8F32: vmull_s8 widens
-/// 8 s8 x s8 products into exact i16 lanes (|p| <= 127 * 127 < 2^15),
-/// vpadalq_s16 pair-adds them into i32 accumulators. Integer adds are
-/// exact, so the reassociation still returns the scalar kernel's bits.
-inline int32_t NeonDotI8Core(const int8_t* a, const int8_t* b, size_t n) {
-  int32x4_t acc = vdupq_n_s32(0);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const int8x16_t va = vld1q_s8(a + i);
-    const int8x16_t vb = vld1q_s8(b + i);
-    acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(va), vget_low_s8(vb)));
-    acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(va), vget_high_s8(vb)));
-  }
-  int32_t s = vaddvq_s32(acc);
-  for (; i < n; ++i) {
-    s += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return s;
-}
-
-int32_t NeonDotI8(const int8_t* a, const int8_t* b, size_t n) {
-  return NeonDotI8Core(a, b, n);
-}
-
-void NeonGemmI8F32(const int8_t* a, const int8_t* b, size_t b_stride,
-                   size_t n, float scale_a, const float* scale_b, float* c,
-                   size_t m) {
-  for (size_t r = 0; r < m; ++r) {
-    const int32_t acc = NeonDotI8Core(a, b + r * b_stride, n);
-    // The pinned dequant epilogue shared by every target (see simd.h).
-    c[r] = static_cast<float>(acc) * (scale_a * scale_b[r]);
-  }
-}
-
 constexpr KernelTable kNeonKernels = {
     Target::kNeon,     NeonDotF32,       NeonAxpyF32,
     NeonGemmMicroF32,  NeonDotF64,       NeonReduceSumF64,
     NeonSumSqDiffF64,  NeonMinMaxF64,    NeonDtwRowF64,
-    NeonDotI8,         NeonGemmI8F32,
 };
 
 }  // namespace

@@ -11,15 +11,10 @@
 // Section layout (names are the contract; the "meta" and "enc.index"
 // streams use common::BinaryWriter framing):
 //   meta            engine + model + LSH configuration, table count;
-//                   ends with an appended engine-meta v2 block (precision,
-//                   mean_prefilter) — absent in pre-quantization
-//                   snapshots, which still open with f32 defaults
+//                   ends with the engine-meta v2 block (version, a
+//                   precision field that is always 0, mean_prefilter)
 //   model.state     FcmModel parameters (nn::Module::SaveState)
 //   means.f32       mean-embedding block, num_means x embed_dim
-//                   (kFloat32 engines only)
-//   means.i8        quantized mean-embedding block, num_means x embed_dim
-//                   int8 codes (kInt8 engines only; replaces means.f32)
-//   means.scale.f32 per-row quantization scales, num_means (kInt8 only)
 //   lsh.planes.f32  hyperplane block
 //   lsh.gbegin.u64 / lsh.codes.u64 / lsh.pbegin.u64 / lsh.pay.i64
 //   it.center.f64 / it.left.i32 / it.right.i32 / it.begin.u64 /
@@ -43,12 +38,12 @@ namespace {
 constexpr const char* kMetaSection = "meta";
 constexpr const char* kModelSection = "model.state";
 constexpr const char* kMeansSection = "means.f32";
-constexpr const char* kMeansQSection = "means.i8";
-constexpr const char* kMeansScaleSection = "means.scale.f32";
 
-/// Version of the engine-meta block appended to the meta stream. v1
-/// (pre-quantization) snapshots end right after the LSH item count; v2
-/// appends {version, precision, mean_prefilter}.
+/// Version of the engine-meta block that ends the meta stream:
+/// {version, precision, mean_prefilter}. The precision field is always 0
+/// (f32 means) and is kept so the layout, and the file bytes, stay those
+/// of every v2 snapshot already on disk. Older (v1) snapshots have no
+/// such block and are rejected: they must be rebuilt.
 constexpr uint32_t kEngineMetaVersion = 2;
 
 common::Status Bad(const std::string& what) {
@@ -233,10 +228,9 @@ common::Status SearchEngine::SaveSnapshot(const std::string& path) const {
   meta.WriteU64(options_.lsh.seed);
   meta.WriteU32(static_cast<uint32_t>(segment.lsh->num_shards()));
   meta.WriteU64(segment.lsh->num_items());
-  // Engine-meta v2 block, appended so pre-quantization readers of the
-  // prefix layout stay compatible (and v1 snapshots open with defaults).
+  // Engine-meta v2 block; the precision field is always 0 (f32).
   meta.WriteU32(kEngineMetaVersion);
-  meta.WriteU32(static_cast<uint32_t>(options_.precision));
+  meta.WriteU32(0);
   meta.WriteU32(static_cast<uint32_t>(options_.mean_prefilter));
   writer.AddSection(kMetaSection, meta.buffer().data(), meta.buffer().size());
 
@@ -246,15 +240,8 @@ common::Status SearchEngine::SaveSnapshot(const std::string& path) const {
   writer.AddSection(kModelSection, model_state.buffer().data(),
                     model_state.buffer().size());
 
-  // Mean-embedding block: the precision mode's storage, nothing else —
-  // an int8 snapshot carries no f32 means at all (the footprint win
-  // persists to disk and to the mmap).
-  if (options_.precision == EmbeddingPrecision::kInt8) {
-    writer.AddTypedSection(kMeansQSection, segment.means_q_view);
-    writer.AddTypedSection(kMeansScaleSection, segment.means_scale_view);
-  } else {
-    writer.AddTypedSection(kMeansSection, segment.means_view);
-  }
+  // Mean-embedding block.
+  writer.AddTypedSection(kMeansSection, segment.means_view);
 
   // Frozen LSH.
   const auto& lf = segment.lsh->frozen_view();
@@ -343,21 +330,24 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   if (config.embed_dim <= 0 || config.embed_dim > (1 << 20)) {
     return Bad("implausible embed_dim");
   }
-  // Engine-meta v2 block. A pre-quantization (v1) snapshot's meta stream
-  // ends here; it opens as an f32 engine with no prefilter.
-  uint32_t precision = 0, mean_prefilter = 0;
-  if (meta.remaining() != 0) {
-    uint32_t engine_meta_version = 0;
-    FCM_RETURN_IF_ERROR(rd_u32(&engine_meta_version));
-    if (engine_meta_version != kEngineMetaVersion) {
-      return Bad("unsupported engine meta version " +
-                 std::to_string(engine_meta_version));
-    }
-    FCM_RETURN_IF_ERROR(rd_u32(&precision));
-    FCM_RETURN_IF_ERROR(rd_u32(&mean_prefilter));
-    if (precision > 1) return Bad("unknown embedding precision");
-    if (meta.remaining() != 0) return Bad("trailing engine meta bytes");
+  // Engine-meta v2 block. A v1 snapshot's meta stream ends before it.
+  if (meta.remaining() == 0) {
+    return Bad("v1 engine meta is no longer supported; rebuild the "
+               "snapshot");
   }
+  uint32_t engine_meta_version = 0, precision = 0, mean_prefilter = 0;
+  FCM_RETURN_IF_ERROR(rd_u32(&engine_meta_version));
+  if (engine_meta_version != kEngineMetaVersion) {
+    return Bad("unsupported engine meta version " +
+               std::to_string(engine_meta_version) + "; rebuild the snapshot");
+  }
+  FCM_RETURN_IF_ERROR(rd_u32(&precision));
+  FCM_RETURN_IF_ERROR(rd_u32(&mean_prefilter));
+  if (precision != 0) {
+    return Bad("embedding precision " + std::to_string(precision) +
+               " is no longer supported (only f32); rebuild the snapshot");
+  }
+  if (meta.remaining() != 0) return Bad("trailing engine meta bytes");
 
   // Model, reconstructed from config + saved parameters (shape- and
   // name-validated by Module::LoadState).
@@ -380,7 +370,6 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   engine->options_.lsh.probe_hamming1 = lsh_hamming1 != 0;
   engine->options_.lsh.seed = lsh_seed.value();
   engine->options_.lsh.num_shards = static_cast<int>(lsh_shards);
-  engine->options_.precision = static_cast<EmbeddingPrecision>(precision);
   engine->options_.mean_prefilter = static_cast<int>(mean_prefilter);
   engine->pool_ = std::make_unique<common::ThreadPool>(options.num_threads);
 
@@ -390,36 +379,15 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   auto segment = std::make_shared<IndexSegment>();
   segment->first_id = 0;
 
-  // Mean-embedding block: zero-copy view(s) over the snapshot — the f32
-  // block, or in kInt8 mode the code block plus its per-row scales.
-  size_t total_means = 0;
-  if (engine->options_.precision == EmbeddingPrecision::kInt8) {
-    auto codes = reader->TypedSection<int8_t>(kMeansQSection);
-    if (!codes.ok()) return codes.status();
-    auto scales = reader->TypedSection<float>(kMeansScaleSection);
-    if (!scales.ok()) return scales.status();
-    if (codes.value().size() %
-            static_cast<size_t>(config.embed_dim) != 0) {
-      return Bad("means.i8 block size is not a multiple of embed_dim");
-    }
-    total_means =
-        codes.value().size() / static_cast<size_t>(config.embed_dim);
-    if (scales.value().size() != total_means) {
-      return Bad("means.scale.f32 size does not match means.i8 rows");
-    }
-    segment->means_q_view = codes.value();
-    segment->means_scale_view = scales.value();
-  } else {
-    auto means = reader->TypedSection<float>(kMeansSection);
-    if (!means.ok()) return means.status();
-    segment->means_view = means.value();
-    if (means.value().size() %
-            static_cast<size_t>(config.embed_dim) != 0) {
-      return Bad("means block size is not a multiple of embed_dim");
-    }
-    total_means =
-        means.value().size() / static_cast<size_t>(config.embed_dim);
+  // Mean-embedding block: a zero-copy view over the snapshot.
+  auto means = reader->TypedSection<float>(kMeansSection);
+  if (!means.ok()) return means.status();
+  segment->means_view = means.value();
+  if (means.value().size() % static_cast<size_t>(config.embed_dim) != 0) {
+    return Bad("means block size is not a multiple of embed_dim");
   }
+  const size_t total_means =
+      means.value().size() / static_cast<size_t>(config.embed_dim);
 
   // Frozen LSH over the mapped sections.
   {

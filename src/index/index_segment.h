@@ -4,12 +4,12 @@
 //
 // A *segment* is a self-contained, frozen slice of the index covering the
 // contiguous table-id range [first_id, first_id + entries.size()): the
-// detached per-table encodings, the segment's mean-embedding block (f32
-// or int8 + scales), a frozen LSH index whose payloads are *global* table
-// ids, and a frozen interval tree. Segments are immutable after
-// construction and shared between epochs via shared_ptr — an epoch never
-// copies a segment, and a segment's encodings (TableEntry) are themselves
-// shared so compaction re-slices the means without duplicating tensors.
+// detached per-table encodings, the segment's f32 mean-embedding block,
+// a frozen LSH index whose payloads are *global* table ids, and a frozen
+// interval tree. Segments are immutable after construction and shared
+// between epochs via shared_ptr — an epoch never copies a segment, and a
+// segment's encodings (TableEntry) are themselves shared so compaction
+// re-slices the means without duplicating tensors.
 //
 // An *epoch* is an ordered list of segments (base first, then delta
 // segments in ingest order) whose id ranges tile [0, num_tables) exactly.
@@ -60,15 +60,8 @@ struct IndexSegment {
 
   /// Mean-embedding block: rows x embed_dim floats. Owned after a build
   /// or ingest; a zero-copy view into the snapshot after OpenSnapshot.
-  /// Empty in int8 mode (the quantized block is the tier's only storage).
   std::vector<float> means_data;
   storage::Span<float> means_view;
-
-  /// int8 mode: quantized block + per-row f32 scales, same row order.
-  std::vector<int8_t> means_q_data;
-  storage::Span<int8_t> means_q_view;
-  std::vector<float> means_scale_data;
-  storage::Span<float> means_scale_view;
 
   /// Frozen interval tree over this segment's column ranges; payloads are
   /// global table ids.
@@ -86,11 +79,7 @@ struct IndexSegment {
     return first_id + static_cast<table::TableId>(entries.size());
   }
   /// Bytes held by this segment's serving-side mean-embedding tier.
-  size_t embedding_bytes() const {
-    return means_view.size() * sizeof(float) +
-           means_q_view.size() * sizeof(int8_t) +
-           means_scale_view.size() * sizeof(float);
-  }
+  size_t embedding_bytes() const { return means_view.size() * sizeof(float); }
 };
 
 }  // namespace fcm::index

@@ -100,7 +100,6 @@ common::Status SearchEngine::Compact(CompactStats* stats) {
   // from-scratch Build over these logical tables would consume, so the
   // merged index is structurally identical and rankings cannot change.
   const size_t embed_dim = static_cast<size_t>(model_->config().embed_dim);
-  const bool int8_mode = options_.precision == EmbeddingPrecision::kInt8;
   auto merged = std::make_shared<IndexSegment>();
   merged->first_id = 0;
   merged->entries.reserve(current->num_tables());
@@ -112,28 +111,13 @@ common::Status SearchEngine::Compact(CompactStats* stats) {
       merged->mean_begin.push_back(rows);
       const uint64_t begin = segment->mean_begin[i];
       const size_t num_means = segment->entries[i]->num_means;
-      if (int8_mode) {
-        const int8_t* codes =
-            segment->means_q_view.data() + begin * embed_dim;
-        merged->means_q_data.insert(merged->means_q_data.end(), codes,
-                                    codes + num_means * embed_dim);
-        const float* scales = segment->means_scale_view.data() + begin;
-        merged->means_scale_data.insert(merged->means_scale_data.end(),
-                                        scales, scales + num_means);
-      } else {
-        const float* block = segment->means_view.data() + begin * embed_dim;
-        merged->means_data.insert(merged->means_data.end(), block,
-                                  block + num_means * embed_dim);
-      }
+      const float* block = segment->means_view.data() + begin * embed_dim;
+      merged->means_data.insert(merged->means_data.end(), block,
+                                block + num_means * embed_dim);
       rows += num_means;
     }
   }
-  if (int8_mode) {
-    merged->means_q_view = merged->means_q_data;
-    merged->means_scale_view = merged->means_scale_data;
-  } else {
-    merged->means_view = merged->means_data;
-  }
+  merged->means_view = merged->means_data;
 
   CompactStats local;
   local.segments_merged = current->num_segments();

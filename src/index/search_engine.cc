@@ -8,7 +8,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/quantize.h"
 #include "common/simd.h"
 #include "index/index_segment.h"
 #include "table/resample.h"
@@ -77,14 +76,6 @@ const char* IndexStrategyName(IndexStrategy s) {
     case IndexStrategy::kIntervalTree: return "Interval Tree";
     case IndexStrategy::kLsh: return "LSH";
     case IndexStrategy::kHybrid: return "Hybrid";
-  }
-  return "?";
-}
-
-const char* EmbeddingPrecisionName(EmbeddingPrecision p) {
-  switch (p) {
-    case EmbeddingPrecision::kFloat32: return "f32";
-    case EmbeddingPrecision::kInt8: return "int8";
   }
   return "?";
 }
@@ -165,29 +156,6 @@ std::shared_ptr<const IndexSegment> SearchEngine::BuildSegment(
   }
   scratch_means.clear();
   segment->means_view = segment->means_data;
-  if (options_.precision == EmbeddingPrecision::kInt8) {
-    // Quantize the block row by row, then drop the f32 block: from here
-    // the int8 codes + scales are the tier's only storage. The LSH build
-    // below indexes the dequantized reconstructions — exactly the values
-    // the tier serves (and a snapshot reloads) — so bucket membership can
-    // never disagree with the served embeddings. Rows are independent, so
-    // the fan-out is deterministic.
-    const size_t rows =
-        segment->means_data.size() / std::max<size_t>(1, embed_dim);
-    segment->means_q_data.resize(segment->means_data.size());
-    segment->means_scale_data.resize(rows);
-    pool_->ParallelFor(rows, [&](size_t r) {
-      const float* row = segment->means_data.data() + r * embed_dim;
-      int8_t* codes = segment->means_q_data.data() + r * embed_dim;
-      segment->means_scale_data[r] =
-          common::QuantizeRow(row, embed_dim, codes);
-    });
-    segment->means_q_view = segment->means_q_data;
-    segment->means_scale_view = segment->means_scale_data;
-    segment->means_data.clear();
-    segment->means_data.shrink_to_fit();
-    segment->means_view = storage::Span<float>();
-  }
   if (encode_seconds != nullptr) *encode_seconds += Seconds(t_encode);
 
   BuildSegmentIndexes(segment.get(), interval_seconds, lsh_seconds);
@@ -234,20 +202,6 @@ void SearchEngine::BuildSegmentIndexes(IndexSegment* segment,
   segment->lsh = std::make_unique<RandomHyperplaneLsh>(
       model_->config().embed_dim, lsh_config);
   const float* rows = segment->means_view.data();
-  std::vector<float> dequantized;
-  if (options_.precision == EmbeddingPrecision::kInt8) {
-    // int8 mode keeps no f32 block; reconstruct the rows the tier serves
-    // for the hyperplane codes. Identical values however many times the
-    // segment is (re)indexed — dequantization is pure.
-    const size_t n_rows = segment->means_scale_view.size();
-    dequantized.resize(n_rows * embed_dim);
-    pool_->ParallelFor(n_rows, [&](size_t r) {
-      common::DequantizeRow(segment->means_q_view.data() + r * embed_dim,
-                            embed_dim, segment->means_scale_view[r],
-                            dequantized.data() + r * embed_dim);
-    });
-    rows = dequantized.data();
-  }
   std::vector<LshInsertItem> items;
   for (size_t i = 0; i < segment->entries.size(); ++i) {
     const auto id = segment->first_id + static_cast<table::TableId>(i);
@@ -381,53 +335,22 @@ void SearchEngine::PrefilterCandidates(
   const size_t keep = static_cast<size_t>(options_.mean_prefilter);
   if (num_lines == 0 || candidates->size() <= keep) return;
   const size_t dim = line_means[0].size();
-  const bool int8_mode = options_.precision == EmbeddingPrecision::kInt8;
-
-  // kInt8: quantize the query-side line means once per query; candidate
-  // rows are already int8, so every similarity below runs through the
-  // exact integer kernels.
-  std::vector<int8_t> q_codes;
-  std::vector<float> q_scales;
-  if (int8_mode) {
-    q_codes.resize(num_lines * dim);
-    q_scales.resize(num_lines);
-    for (size_t l = 0; l < num_lines; ++l) {
-      q_scales[l] = common::QuantizeRow(line_means[l].data(), dim,
-                                        q_codes.data() + l * dim);
-    }
-  }
 
   // Max over (line, mean-row) dot products per candidate, each candidate's
   // rows read from its owning segment. A candidate with no mean rows keeps
   // -inf and sorts last (it would score as invalid downstream anyway).
   std::vector<std::pair<float, table::TableId>> scored;
   scored.reserve(candidates->size());
-  std::vector<float> sims;  // GemmI8F32 scratch, reused across candidates.
   for (const table::TableId id : *candidates) {
     const IndexSegment& segment = SegmentContaining(epoch.segments_, id);
     const size_t local = static_cast<size_t>(id - segment.first_id);
     const size_t num_means = segment.entries[local]->num_means;
     const uint64_t mean_begin = segment.mean_begin[local];
     float best = -std::numeric_limits<float>::infinity();
-    if (int8_mode) {
-      sims.resize(num_means);
-      const int8_t* rows = segment.means_q_view.data() + mean_begin * dim;
-      const float* row_scales =
-          segment.means_scale_view.data() + mean_begin;
+    for (size_t r = 0; r < num_means; ++r) {
+      const float* row = segment.means_view.data() + (mean_begin + r) * dim;
       for (size_t l = 0; l < num_lines; ++l) {
-        simd::GemmI8F32(q_codes.data() + l * dim, rows, dim, dim,
-                        q_scales[l], row_scales, sims.data(), num_means);
-        for (size_t r = 0; r < num_means; ++r) {
-          best = std::max(best, sims[r]);
-        }
-      }
-    } else {
-      for (size_t r = 0; r < num_means; ++r) {
-        const float* row =
-            segment.means_view.data() + (mean_begin + r) * dim;
-        for (size_t l = 0; l < num_lines; ++l) {
-          best = std::max(best, simd::DotF32(line_means[l].data(), row, dim));
-        }
+        best = std::max(best, simd::DotF32(line_means[l].data(), row, dim));
       }
     }
     scored.push_back({best, id});

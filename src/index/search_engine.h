@@ -48,18 +48,6 @@ enum class IndexStrategy { kNoIndex, kIntervalTree, kLsh, kHybrid };
 
 const char* IndexStrategyName(IndexStrategy s);
 
-/// Storage precision of the mean-embedding block. kInt8 stores symmetric
-/// scale-per-row int8 codes (common/quantize.h) instead of f32 — about
-/// 0.25x the bytes plus one f32 scale per row — and scores the
-/// mean-similarity prefilter through the exact int8 SIMD kernels.
-/// Candidate sets may legitimately differ from a kFloat32 engine (the
-/// quantized means are what the LSH indexes and the prefilter ranks), but
-/// within one precision mode the full determinism contract holds
-/// unchanged. The final FCM relevance stage stays float either way.
-enum class EmbeddingPrecision { kFloat32 = 0, kInt8 = 1 };
-
-const char* EmbeddingPrecisionName(EmbeddingPrecision p);
-
 /// One ranked search hit.
 struct SearchHit {
   table::TableId table_id = table::kInvalidTableId;
@@ -90,9 +78,7 @@ struct BuildStats {
   /// Shard count the LSH index resolved to (power of two; may differ from
   /// the requested LshConfig::num_shards).
   int lsh_shards = 1;
-  /// Bytes held by the serving-side mean-embedding tier: the f32 block in
-  /// kFloat32 mode, the int8 code block plus its per-row f32 scale vector
-  /// in kInt8 mode (the f32 block is dropped after the LSH build).
+  /// Bytes held by the serving-side mean-embedding tier (the f32 block).
   size_t embedding_bytes = 0;
 };
 
@@ -134,14 +120,9 @@ struct SearchEngineOptions {
   /// Worker threads for build-time encoding and query-time scoring;
   /// <= 0 uses the hardware concurrency, 1 runs fully serial.
   int num_threads = 0;
-  /// Storage precision of the mean-embedding block (see
-  /// EmbeddingPrecision). kInt8 quantizes at Freeze() time and drops the
-  /// f32 block, cutting the tier to ~0.28x of its f32 bytes.
-  EmbeddingPrecision precision = EmbeddingPrecision::kFloat32;
   /// Mean-similarity prefilter: when > 0, CandidateStage keeps only the
   /// `mean_prefilter` candidates whose mean embeddings score highest
-  /// against the query's line means (max over line x row dot products —
-  /// f32 kernels in kFloat32 mode, the exact int8 kernels in kInt8 mode)
+  /// against the query's line means (max over line x row dot products)
   /// before the expensive FCM scoring stage. 0 (default) scores every
   /// candidate, exactly the pre-prefilter behavior. Survivors are ranked
   /// (similarity desc, id asc) then re-sorted ascending, so the
@@ -316,19 +297,13 @@ class SearchEngine {
   // passes the same pin to each so the request sees one consistent index
   // generation end to end.
 
-  /// Wall seconds one batch spent inside each serving stage. Serving
-  /// telemetry: AsyncSearchService feeds the per-batch total to its
-  /// adaptive micro-batching controller (see index/batch_controller.h),
-  /// and the tuning guide in docs/SERVING.md reads these to attribute
-  /// latency to a stage. Purely observational — timing never changes
-  /// what a stage computes.
+  /// Wall seconds one batch spent inside each serving stage, for callers
+  /// that attribute latency to a stage. Purely observational — timing
+  /// never changes what a stage computes.
   struct StageTiming {
     double encode_seconds = 0.0;
     double candidate_seconds = 0.0;
     double score_seconds = 0.0;
-    double total_seconds() const {
-      return encode_seconds + candidate_seconds + score_seconds;
-    }
   };
 
   /// One request's stage state. `query` must outlive the stage calls.
@@ -376,10 +351,6 @@ class SearchEngine {
 
   const BuildStats& build_stats() const { return build_stats_; }
 
-  /// Storage precision of the mean-embedding block (build option, or the
-  /// value recorded in the snapshot for an opened engine).
-  EmbeddingPrecision precision() const { return options_.precision; }
-
   /// Bytes held by the serving-side mean-embedding tier across every
   /// segment of the current epoch (see BuildStats::embedding_bytes).
   size_t embedding_bytes() const;
@@ -411,9 +382,8 @@ class SearchEngine {
   /// Mean-similarity prefilter (options_.mean_prefilter > 0): keeps the
   /// candidates whose mean embeddings score highest against the query's
   /// `num_lines` line means (similarity desc, id asc), re-sorted
-  /// ascending. Scores via the precision mode's kernels — f32 dot, or
-  /// quantize-the-query + the exact int8 GemmI8F32 — reading each
-  /// candidate's rows from its owning segment. Thread-safe (called from
+  /// ascending. Scores by f32 dot products, reading each candidate's rows
+  /// from its owning segment. Thread-safe (called from
   /// CandidateStage's per-query fan-out).
   void PrefilterCandidates(const EngineEpoch& epoch,
                            const std::vector<float>* line_means,
@@ -421,7 +391,7 @@ class SearchEngine {
                            std::vector<table::TableId>* candidates) const;
 
   /// Encodes `tables` (global ids first_id, first_id+1, ...) into one
-  /// frozen segment: entries + means block (+ int8 tier), sharded LSH
+  /// frozen segment: entries + means block, sharded LSH
   /// insert in table order, interval tree. The shared construction path
   /// of Build and IngestBatch — a delta segment is built exactly like a
   /// base, just over fewer tables.

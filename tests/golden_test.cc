@@ -1,8 +1,8 @@
 // Golden-ranking regression gate: serves a fixed synthetic lake with a
 // fixed query set and diffs the live rankings against checked-in
 // fixtures under tests/golden/, so *silent* ranking drift — a kernel
-// "optimization" that reorders a reduction, an encoder tweak, a quantizer
-// rounding change — fails tier-1 loudly instead of shipping. Ranked ids
+// "optimization" that reorders a reduction, an encoder tweak, a pruning
+// change — fails tier-1 loudly instead of shipping. Ranked ids
 // must match exactly; scores within 1e-9 relative tolerance (the fixture
 // stores 17 significant digits, enough to round-trip a double).
 //
@@ -63,7 +63,7 @@ const char* StrategyToken(idx::IndexStrategy s) {
 }
 
 struct GoldenRow {
-  std::string engine;    // "f32" | "int8"
+  std::string engine;    // "f32" (the mean-embedding storage)
   std::string strategy;  // StrategyToken
   int query = 0;
   int rank = 0;
@@ -116,29 +116,22 @@ class GoldenTest : public ::testing::Test {
     }
   }
 
-  /// The full live ranking matrix: both precisions, every strategy, every
-  /// query, ranks 0..k-1.
+  /// The full live ranking matrix: every strategy, every query, ranks
+  /// 0..k-1.
   std::vector<GoldenRow> LiveRows() {
     std::vector<GoldenRow> rows;
-    const idx::EmbeddingPrecision precisions[] = {
-        idx::EmbeddingPrecision::kFloat32, idx::EmbeddingPrecision::kInt8};
-    for (const auto precision : precisions) {
-      idx::SearchEngineOptions options;
-      options.num_threads = 2;
-      options.precision = precision;
-      idx::SearchEngine engine(model_.get(), &lake_);
-      engine.BuildWithOptions(options);
-      const char* engine_name =
-          precision == idx::EmbeddingPrecision::kInt8 ? "int8" : "f32";
-      for (const auto strategy : kAllStrategies) {
-        for (int q = 0; q < kQueries; ++q) {
-          const auto hits = engine.Search(queries_[q], kTopK, strategy);
-          for (size_t r = 0; r < hits.size(); ++r) {
-            rows.push_back({engine_name, StrategyToken(strategy), q,
-                            static_cast<int>(r),
-                            static_cast<int64_t>(hits[r].table_id),
-                            hits[r].score});
-          }
+    idx::SearchEngineOptions options;
+    options.num_threads = 2;
+    idx::SearchEngine engine(model_.get(), &lake_);
+    engine.BuildWithOptions(options);
+    for (const auto strategy : kAllStrategies) {
+      for (int q = 0; q < kQueries; ++q) {
+        const auto hits = engine.Search(queries_[q], kTopK, strategy);
+        for (size_t r = 0; r < hits.size(); ++r) {
+          rows.push_back({"f32", StrategyToken(strategy), q,
+                          static_cast<int>(r),
+                          static_cast<int64_t>(hits[r].table_id),
+                          hits[r].score});
         }
       }
     }

@@ -562,6 +562,44 @@ TEST_F(ParallelSearchEngineTest, XDerivationBuildIdenticalAcrossThreads) {
   }
 }
 
+TEST_F(ParallelSearchEngineTest, F32PrefilterRankingsIdenticalAcrossBatching) {
+  // The mean-similarity prefilter must hold the determinism contract:
+  // thread count and batching change no bit of any ranking.
+  SearchEngineOptions options;
+  options.mean_prefilter = 4;
+  options.num_threads = 1;
+  SearchEngine serial_engine(model_.get(), &lake_);
+  serial_engine.BuildWithOptions(options);
+  options.num_threads = 2;
+  SearchEngine pooled_engine(model_.get(), &lake_);
+  pooled_engine.BuildWithOptions(options);
+  for (const auto strategy :
+       {IndexStrategy::kNoIndex, IndexStrategy::kIntervalTree,
+        IndexStrategy::kLsh, IndexStrategy::kHybrid}) {
+    const auto batched = pooled_engine.SearchBatch(queries_, 5, strategy);
+    ASSERT_EQ(batched.size(), queries_.size());
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      const auto one = serial_engine.Search(queries_[q], 5, strategy);
+      ExpectSameHits(one, pooled_engine.Search(queries_[q], 5, strategy));
+      ExpectSameHits(one, batched[q]);
+    }
+  }
+}
+
+TEST_F(ParallelSearchEngineTest, PrefilterCapsCandidatesScored) {
+  const int prefilter = 4;
+  SearchEngineOptions options;
+  options.num_threads = 2;
+  options.mean_prefilter = prefilter;
+  SearchEngine pruned(model_.get(), &lake_);
+  pruned.BuildWithOptions(options);
+  QueryStats full_stats, pruned_stats;
+  parallel_->Search(queries_[0], 3, IndexStrategy::kNoIndex, &full_stats);
+  pruned.Search(queries_[0], 3, IndexStrategy::kNoIndex, &pruned_stats);
+  EXPECT_EQ(full_stats.candidates_scored, lake_.size());
+  EXPECT_EQ(pruned_stats.candidates_scored, static_cast<size_t>(prefilter));
+}
+
 TEST(MeanEmbeddingTest, AveragesRows) {
   nn::Tensor rep = nn::Tensor::FromVector({2, 3}, {1, 2, 3, 3, 4, 5});
   const auto mean = SearchEngine::MeanEmbedding(rep);

@@ -2,7 +2,7 @@
 // (ctest label `ingest`): for randomized append schedules, every pinned
 // epoch must rank EXPECT_EQ-bit-identically to a from-scratch Build over
 // the same logical tables — across thread counts, all four strategies,
-// both precision modes, the prefilter, Search vs SearchBatch vs the async
+// the mean-similarity prefilter, Search vs SearchBatch vs the async
 // pipeline — and compaction must change neither a pinned epoch's results
 // nor the current epoch's. This is the proof of the PR's determinism
 // contract; the concurrent interleavings live in ingest_stress_test.cc.
@@ -89,13 +89,9 @@ class IngestTest : public ::testing::Test {
     }
   }
 
-  idx::SearchEngineOptions Options(int threads,
-                                   idx::EmbeddingPrecision precision =
-                                       idx::EmbeddingPrecision::kFloat32,
-                                   int prefilter = 0) const {
+  idx::SearchEngineOptions Options(int threads, int prefilter = 0) const {
     idx::SearchEngineOptions options;
     options.num_threads = threads;
-    options.precision = precision;
     options.mean_prefilter = prefilter;
     return options;
   }
@@ -238,24 +234,19 @@ TEST_F(IngestTest, CompactionChangesNoResultsAndEnablesSnapshots) {
   std::remove(path.c_str());
 }
 
-TEST_F(IngestTest, Int8AndPrefilterEnginesHoldTheContract) {
-  // The epoch equivalence must hold per configuration: int8 means tier
-  // and the mean-similarity prefilter both read per-segment blocks.
-  for (const auto precision : {idx::EmbeddingPrecision::kFloat32,
-                               idx::EmbeddingPrecision::kInt8}) {
-    const auto options = Options(2, precision, /*prefilter=*/4);
-    table::DataLake lake;
-    for (auto& t : MakeTables(0, 6)) lake.Add(std::move(t));
-    idx::SearchEngine engine(model_.get(), &lake);
-    engine.BuildWithOptions(options);
-    ASSERT_TRUE(engine.IngestBatch(MakeTables(6, 10)).ok());
-    ASSERT_TRUE(engine.IngestBatch(MakeTables(10, kTotalTables)).ok());
-    const auto reference =
-        BuildReference(kTotalTables, Options(1, precision, 4));
-    ExpectMatchesReference(engine, nullptr, *reference.engine);
-    ASSERT_TRUE(engine.Compact(nullptr).ok());
-    ExpectMatchesReference(engine, nullptr, *reference.engine);
-  }
+TEST_F(IngestTest, PrefilterEngineHoldsTheContract) {
+  // The epoch equivalence must hold with the mean-similarity prefilter
+  // on: it reads each candidate's means from its owning segment's block.
+  table::DataLake lake;
+  for (auto& t : MakeTables(0, 6)) lake.Add(std::move(t));
+  idx::SearchEngine engine(model_.get(), &lake);
+  engine.BuildWithOptions(Options(2, /*prefilter=*/4));
+  ASSERT_TRUE(engine.IngestBatch(MakeTables(6, 10)).ok());
+  ASSERT_TRUE(engine.IngestBatch(MakeTables(10, kTotalTables)).ok());
+  const auto reference = BuildReference(kTotalTables, Options(1, 4));
+  ExpectMatchesReference(engine, nullptr, *reference.engine);
+  ASSERT_TRUE(engine.Compact(nullptr).ok());
+  ExpectMatchesReference(engine, nullptr, *reference.engine);
 }
 
 TEST_F(IngestTest, WriterApiEdgeCases) {

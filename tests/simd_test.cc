@@ -221,115 +221,6 @@ TEST(SimdKernelTest, GemmMicroF32MatchesScalarUnitAndStridedA) {
   simd::ResetTarget();
 }
 
-/// Random int8 values across the quantizer's full range [-127, 127]
-/// (the kernels' documented operand precondition; -128 is excluded).
-std::vector<int8_t> RandomI8(size_t n, uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<int8_t> v(n);
-  for (auto& x : v) {
-    x = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-  }
-  return v;
-}
-
-TEST(SimdKernelTest, DotI8BitIdenticalAcrossTargetsOnAwkwardSizes) {
-  // Integer accumulation is exact, so the int8 kernels carry a stronger
-  // contract than the f32 ones: EXPECT_EQ, no tolerance, every target.
-  for (Target target : SimdTargets()) {
-    for (size_t n : kAwkwardSizes) {
-      const auto a = RandomI8(n, 111 + n);
-      const auto b = RandomI8(n, 127 + n);
-      simd::SetTarget(Target::kScalar);
-      const int32_t expected = simd::DotI8(a.data(), b.data(), n);
-      ScopedTarget forced(target);
-      ASSERT_TRUE(forced.ok());
-      EXPECT_EQ(expected, simd::DotI8(a.data(), b.data(), n))
-          << simd::TargetName(target) << " n=" << n;
-    }
-  }
-  simd::ResetTarget();
-}
-
-TEST(SimdKernelTest, DotI8SaturatedOperandsStayExact) {
-  // Worst-case magnitude: every product is +/-127*127. At n=4096 the
-  // accumulator reaches ~2.6e8, well inside i32 but far beyond the i16
-  // pair sums the AVX2 maddubs idiom produces internally — any overflow
-  // there would show up here.
-  const size_t n = 4096;
-  std::vector<int8_t> hi(n, 127), lo(n, -127);
-  simd::SetTarget(Target::kScalar);
-  const int32_t up = simd::DotI8(hi.data(), hi.data(), n);
-  const int32_t down = simd::DotI8(hi.data(), lo.data(), n);
-  EXPECT_EQ(up, static_cast<int32_t>(n) * 127 * 127);
-  EXPECT_EQ(down, -static_cast<int32_t>(n) * 127 * 127);
-  for (Target target : SimdTargets()) {
-    ScopedTarget forced(target);
-    ASSERT_TRUE(forced.ok());
-    EXPECT_EQ(up, simd::DotI8(hi.data(), hi.data(), n));
-    EXPECT_EQ(down, simd::DotI8(hi.data(), lo.data(), n));
-  }
-  simd::ResetTarget();
-}
-
-TEST(SimdKernelTest, GemmI8F32BitIdenticalAcrossTargets) {
-  // The dequant epilogue is one pinned IEEE expression in every
-  // implementation, so even the float outputs must match bit for bit.
-  for (Target target : SimdTargets()) {
-    for (size_t n : kAwkwardSizes) {
-      for (size_t m : {size_t{1}, size_t{3}, size_t{17}}) {
-        const auto a = RandomI8(n, 131 + n + m);
-        const auto b = RandomI8(n * m, 137 + n + m);
-        const auto scales = RandomF32(m, 139 + n + m);
-        std::vector<float> scale_b(m);
-        for (size_t r = 0; r < m; ++r) {
-          scale_b[r] = std::fabs(scales[r]) * 1e-2f + 1e-4f;
-        }
-        const float scale_a = 0.0371f;
-        std::vector<float> c_scalar(m), c_simd(m);
-        simd::SetTarget(Target::kScalar);
-        simd::GemmI8F32(a.data(), b.data(), n, n, scale_a, scale_b.data(),
-                        c_scalar.data(), m);
-        ScopedTarget forced(target);
-        ASSERT_TRUE(forced.ok());
-        simd::GemmI8F32(a.data(), b.data(), n, n, scale_a, scale_b.data(),
-                        c_simd.data(), m);
-        for (size_t r = 0; r < m; ++r) {
-          EXPECT_EQ(c_scalar[r], c_simd[r])
-              << simd::TargetName(target) << " n=" << n << " r=" << r;
-        }
-      }
-    }
-  }
-  simd::ResetTarget();
-}
-
-TEST(SimdKernelTest, GemmI8F32MatchesDotI8PlusEpilogue) {
-  // The GEMM row result is definitionally dot_i8 + the pinned epilogue;
-  // pin that equivalence on every target (b_stride > n exercises the
-  // strided row walk).
-  const size_t n = 33, m = 5, stride = 40;
-  const auto a = RandomI8(n, 151);
-  const auto b = RandomI8(stride * m, 157);
-  std::vector<float> scale_b(m);
-  for (size_t r = 0; r < m; ++r) {
-    scale_b[r] = 1e-3f * static_cast<float>(r + 1);
-  }
-  const float scale_a = 0.02f;
-  for (Target target : simd::SupportedTargets()) {
-    ScopedTarget forced(target);
-    ASSERT_TRUE(forced.ok());
-    std::vector<float> c(m);
-    simd::GemmI8F32(a.data(), b.data(), stride, n, scale_a, scale_b.data(),
-                    c.data(), m);
-    for (size_t r = 0; r < m; ++r) {
-      const int32_t acc = simd::DotI8(a.data(), b.data() + r * stride, n);
-      EXPECT_EQ(c[r], static_cast<float>(acc) * (scale_a * scale_b[r]))
-          << simd::TargetName(target) << " r=" << r;
-    }
-  }
-  simd::ResetTarget();
-}
-
 TEST(SimdKernelTest, F64ReductionsMatchScalarOnAwkwardSizes) {
   for (Target target : SimdTargets()) {
     for (size_t n : kAwkwardSizes) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -205,6 +206,86 @@ TEST_F(EngineSnapshotTest, BuildStatsReportMemory) {
   ASSERT_NE(snap, nullptr);
   EXPECT_GT(snap->build_stats().lsh_memory_bytes, 0u);
   EXPECT_GT(snap->build_stats().interval_memory_bytes, 0u);
+}
+
+TEST_F(EngineSnapshotTest, PrefilterEngineRoundTripBitIdentical) {
+  // The engine meta carries mean_prefilter: a reopened engine must make
+  // the same pruning decisions as its saver, on both backings.
+  SearchEngineOptions options;
+  options.num_threads = 2;
+  options.mean_prefilter = 4;
+  SearchEngine built(model_.get(), &lake_);
+  built.BuildWithOptions(options);
+  const std::string path = TempPath("prefilter.fcmsnap");
+  ASSERT_TRUE(built.SaveSnapshot(path).ok());
+  for (const bool use_mmap : {true, false}) {
+    SnapshotOpenOptions open_options;
+    open_options.use_mmap = use_mmap;
+    auto opened = SearchEngine::OpenSnapshot(path, open_options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const auto& served = opened.value();
+    EXPECT_EQ(served->embedding_bytes(), built.embedding_bytes());
+    for (const auto strategy : kAllStrategies) {
+      for (const auto& q : queries_) {
+        QueryStats built_stats, served_stats;
+        ExpectSameHits(built.Search(q, 6, strategy, &built_stats),
+                       served->Search(q, 6, strategy, &served_stats));
+        EXPECT_EQ(built_stats.candidates_scored,
+                  served_stats.candidates_scored);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// Rewrites the fixture's snapshot with its meta section passed through
+/// `edit` (every other section copied verbatim; checksums recomputed),
+/// then opens the result as an engine.
+common::Result<std::unique_ptr<SearchEngine>> OpenWithEditedMeta(
+    const std::string& src, const std::string& dst,
+    void (*edit)(std::vector<uint8_t>* meta)) {
+  auto reader = storage::SnapshotReader::Open(src);
+  if (!reader.ok()) return reader.status();
+  storage::SnapshotWriter writer;
+  for (const auto& name : reader.value()->section_names()) {
+    auto bytes = reader.value()->Section(name);
+    if (!bytes.ok()) return bytes.status();
+    std::vector<uint8_t> data = bytes.value().ToVector();
+    if (name == "meta") edit(&data);
+    writer.AddSection(name, data.data(), data.size());
+  }
+  FCM_RETURN_IF_ERROR(writer.WriteToFile(dst));
+  return SearchEngine::OpenSnapshot(dst);
+}
+
+TEST_F(EngineSnapshotTest, V1EngineMetaIsRejectedWithRebuildHint) {
+  // An engine-meta v1 snapshot ends before the v2 block (version,
+  // precision, mean_prefilter: 3 u32 fields). Its read path is gone: the
+  // open must fail with a Status that says to rebuild, not abort.
+  const std::string path = TempPath("v1.fcmsnap");
+  auto opened = OpenWithEditedMeta(path_, path, [](std::vector<uint8_t>* m) {
+    m->resize(m->size() - 3 * sizeof(uint32_t));
+  });
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().ToString().find("rebuild"), std::string::npos)
+      << opened.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST_F(EngineSnapshotTest, NonF32PrecisionIsRejectedWithRebuildHint) {
+  // The v2 precision field (second to last u32 of the meta stream) is
+  // always 0 (f32). A snapshot recording 1 (the removed int8 tier) must
+  // fail the open with a rebuild hint.
+  const std::string path = TempPath("int8meta.fcmsnap");
+  auto opened = OpenWithEditedMeta(path_, path, [](std::vector<uint8_t>* m) {
+    const uint32_t int8_precision = 1;
+    std::memcpy(m->data() + m->size() - 2 * sizeof(uint32_t),
+                &int8_precision, sizeof(int8_precision));
+  });
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().ToString().find("rebuild"), std::string::npos)
+      << opened.status().ToString();
+  std::remove(path.c_str());
 }
 
 // Corruption on a REAL engine snapshot (storage_test covers the synthetic

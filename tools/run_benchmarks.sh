@@ -5,17 +5,12 @@
 # section records the active kernel dispatch target plus per-target
 # GFLOP/s; set FCM_SIMD (scalar|avx2|neon|auto) to override the dispatch
 # for a run. The "async" section records the serving phases — closed- and
-# open-loop, static and adaptive micro-batching, with the adaptive
-# controller's decision trace; the service runs with block-mode
-# backpressure in every phase, so any dropped (rejected or cancelled)
+# open-loop, each at a zero and a static coalesce window; the service runs
+# with block-mode backpressure in every phase, so any dropped (rejected or cancelled)
 # request is a bug and fails this script loudly. The "faults" section
 # records the fault-injection phase (keyed failpoint poisoning a known
 # request subset); its isolation/recovery verdicts also gate this script,
 # and the whole file must parse as JSON before anything trusts it. The
-# "quant" section compares the int8 quantized embedding tier against f32;
-# its top-k recall must clear the recall_floor recorded in the JSON, the
-# embedding footprint must stay under the 0.30x ceiling, and int8
-# determinism plus snapshot round-trip verdicts gate the run. The
 # "ingest" section records serving QPS/p99 while a writer appends tables
 # at a fixed cadence with background + forced compaction; its
 # epoch-determinism verdict (post-append rankings bit-identical to a
@@ -26,9 +21,7 @@
 # exact command that reproduces it; override via env:
 #   FCM_BENCH_ASYNC_QUEUE      request-queue capacity       (default 64)
 #   FCM_BENCH_MAX_BATCH        micro-batch size cap         (default 16)
-#   FCM_BENCH_MAX_DELAY_MS     static coalesce window / adaptive window
-#                              cap                          (default 2)
-#   FCM_BENCH_ADAPTIVE         0 skips the adaptive phases  (default 1)
+#   FCM_BENCH_MAX_DELAY_MS     static coalesce window       (default 2)
 # Usage: tools/run_benchmarks.sh [build_dir]
 set -euo pipefail
 
@@ -39,7 +32,6 @@ OUT="$REPO_ROOT/BENCH_$(date +%Y-%m-%d).json"
 ASYNC_QUEUE="${FCM_BENCH_ASYNC_QUEUE:-64}"
 MAX_BATCH="${FCM_BENCH_MAX_BATCH:-16}"
 MAX_DELAY_MS="${FCM_BENCH_MAX_DELAY_MS:-2}"
-ADAPTIVE="${FCM_BENCH_ADAPTIVE:-1}"
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" --target bench_search_throughput -j"$(nproc)"
@@ -52,8 +44,7 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 "$BIN" --out="$OUT" --async-queue="$ASYNC_QUEUE" \
-       --async-max-batch="$MAX_BATCH" --async-max-delay-ms="$MAX_DELAY_MS" \
-       --async-adaptive="$ADAPTIVE"
+       --async-max-batch="$MAX_BATCH" --async-max-delay-ms="$MAX_DELAY_MS"
 
 # The trajectory file is consumed programmatically by future perf PRs, so
 # an output that does not parse as JSON is an error here, not a surprise
@@ -107,31 +98,9 @@ sys.exit(0 if ok else 1)' "$OUT"; then
        "section of $OUT)" >&2
   exit 1
 fi
-# Staleness guards for the machine and quant sections, then the quant
-# gates: recall at or above the floor the JSON itself records (a bench
-# that stopped stating its floor is a bug, not a pass), footprint at or
-# under the 0.30x ceiling, int8 determinism, and snapshot round-trip.
+# Staleness guard for the machine section.
 if ! grep -q '"machine": {' "$OUT"; then
   echo "error: $OUT has no \"machine\" section (stale bench binary?)" >&2
-  exit 1
-fi
-if ! grep -q '"quant": {' "$OUT"; then
-  echo "error: $OUT has no \"quant\" section (stale bench binary?)" >&2
-  exit 1
-fi
-if ! python3 -c '
-import json, sys
-q = json.load(open(sys.argv[1]))["quant"]
-floor = q["recall_floor"]
-ok = q["topk_recall_vs_f32"] >= floor
-ok = ok and q["embedding_bytes_ratio"] <= q["bytes_ratio_ceiling"]
-ok = ok and q["determinism_ok"] and q["snapshot_save_open_ok"]
-ok = ok and q["snapshot_identical_topk"]
-sys.exit(0 if ok else 1)' "$OUT"; then
-  echo "error: quant phase failed (int8 top-k recall below recall_floor," \
-       "embedding bytes over the 0.30x ceiling, non-deterministic int8" \
-       "rankings, or a broken int8 snapshot round-trip; see the \"quant\"" \
-       "section of $OUT)" >&2
   exit 1
 fi
 # Staleness guard for the ingest section, then its gate: the
@@ -172,12 +141,6 @@ QPS=$(grep -m1 '"qps_speedup_vs_serial"' "$OUT" \
 echo "async serving (closed-loop, delay 0): $QPS qps, p50/p99 $(grep -o \
      '"p50_ms": [0-9.]*' "$OUT" | head -1 | cut -d' ' -f2)/$(grep -o \
      '"p99_ms": [0-9.]*' "$OUT" | head -1 | cut -d' ' -f2) ms, 0 dropped"
-if [[ "$ADAPTIVE" != "0" ]]; then
-  echo "adaptive vs static: open-loop qps ratio $(grep -o \
-       '"open_qps_ratio": [0-9.]*' "$OUT" | cut -d' ' -f2) (>=1 beats best" \
-       "static), closed-loop p99 ratio $(grep -o \
-       '"closed_p99_ratio": [0-9.]*' "$OUT" | cut -d' ' -f2) (vs delay-0)"
-fi
 echo "faults: $(grep -o '"injected": [0-9]*' "$OUT" | cut -d' ' -f2)" \
      "injected, fault/healthy qps ratio $(grep -o \
      '"fault_qps_ratio_vs_healthy": [0-9.]*' "$OUT" | cut -d' ' -f2)," \
@@ -187,11 +150,6 @@ echo "snapshot: open $(grep -o '"open_seconds": [0-9.]*' "$OUT" \
      "$OUT" | cut -d' ' -f2)s ($(grep -o \
      '"open_speedup_vs_rebuild": [0-9.]*' "$OUT" | cut -d' ' -f2)x)," \
      "rankings identical"
-echo "quant: int8 tier $(grep -o '"embedding_bytes_ratio": [0-9.]*' "$OUT" \
-     | cut -d' ' -f2)x of f32 bytes, top-k recall $(grep -o \
-     '"topk_recall_vs_f32": [0-9.]*' "$OUT" | cut -d' ' -f2) (floor" \
-     "$(grep -o '"recall_floor": [0-9.]*' "$OUT" | cut -d' ' -f2))," \
-     "deterministic + snapshot round-trip clean"
 echo "ingest: $(grep -o '"serving_qps": [0-9.]*' "$OUT" \
      | cut -d' ' -f2) qps under live appends, mid-stream compact pause" \
      "$(grep -o '"mid_compact_pause_ms": [0-9.]*' "$OUT" \

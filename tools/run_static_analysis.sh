@@ -49,6 +49,12 @@ bash "$REPO_ROOT/tools/check_thread_safety.sh" "$REPO_ROOT" || rc=$?
 if [[ "$rc" -ne 0 && "$rc" -ne 77 ]]; then
   fail thread-safety "annotation analysis failed (rc=$rc)"
 fi
+# Exit 77 means no clang++: the annotations were not verified, and the
+# summary must not read as if they were.
+THREAD_SAFETY="thread-safety: OK"
+if [[ "$rc" -eq 77 ]]; then
+  THREAD_SAFETY="thread-safety: SKIPPED (no clang++)"
+fi
 
 stage warn-clean "full build + suite under -DFCM_WERROR=ON"
 WARN_DIR="$REPO_ROOT/build-sa-werror"
@@ -74,4 +80,4 @@ done
 
 echo
 echo "run_static_analysis: OK — lint clean, warning-clean under -Werror," \
-     "suite green under: $SANITIZERS"
+     "suite green under: $SANITIZERS; $THREAD_SAFETY"

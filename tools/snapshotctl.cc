@@ -60,7 +60,7 @@ ElemType ElemTypeFor(const std::string& name) {
   };
   static const Suffix kSuffixes[] = {
       {".f32", {"f32", 4}}, {".f64", {"f64", 8}}, {".u64", {"u64", 8}},
-      {".i64", {"i64", 8}}, {".i32", {"i32", 4}}, {".i8", {"i8", 1}},
+      {".i64", {"i64", 8}}, {".i32", {"i32", 4}},
   };
   for (const auto& s : kSuffixes) {
     const size_t len = std::strlen(s.suffix);
@@ -83,13 +83,10 @@ size_t ReadEmbedDim(const storage::SnapshotReader& r) {
   return dim.ok() ? dim.value() : 0;
 }
 
-/// Bytes per logical row: embed_dim elements for mean/hyperplane blocks,
-/// one element for the per-row scale vector.
+/// Bytes per logical row: embed_dim elements for mean/hyperplane blocks.
 size_t BytesPerRow(const std::string& name, ElemType type,
                    size_t embed_dim) {
-  if (name == "means.scale.f32") return type.bytes;
-  if (name == "means.f32" || name == "means.i8" ||
-      name == "lsh.planes.f32") {
+  if (name == "means.f32" || name == "lsh.planes.f32") {
     return type.bytes * embed_dim;
   }
   return 0;
@@ -121,25 +118,9 @@ int Inspect(const std::string& path) {
                 bytes, r.SectionCrc(name), type.label, bytes / type.bytes,
                 bpr_str);
   }
-  // Footprint line: makes the f32-vs-int8 embedding-tier cost auditable
-  // straight from the CLI.
+  // Footprint line: the embedding-tier cost, straight from the CLI.
   const auto names = r.section_names();
-  const bool has_i8 =
-      std::find(names.begin(), names.end(), "means.i8") != names.end();
-  const bool has_f32 =
-      std::find(names.begin(), names.end(), "means.f32") != names.end();
-  if (has_i8) {
-    const size_t i8 = r.SectionBytes("means.i8");
-    const size_t scales = r.SectionBytes("means.scale.f32");
-    const size_t f32_equiv = i8 * sizeof(float);
-    std::printf("embedding tier: int8, %zu bytes (codes %zu + scales %zu)"
-                " = %.3fx of the %zu-byte f32 equivalent\n",
-                i8 + scales, i8, scales,
-                f32_equiv > 0
-                    ? static_cast<double>(i8 + scales) / f32_equiv
-                    : 0.0,
-                f32_equiv);
-  } else if (has_f32) {
+  if (std::find(names.begin(), names.end(), "means.f32") != names.end()) {
     std::printf("embedding tier: f32, %zu bytes\n",
                 r.SectionBytes("means.f32"));
   }
