@@ -314,12 +314,13 @@ void BM_LshCodeDispatch(benchmark::State& state) {
   common::Rng rng(110);
   index::LshConfig config;
   const int dim = static_cast<int>(state.range(0));
-  index::RandomHyperplaneLsh lsh(dim, config);
+  const auto lsh = index::RandomHyperplaneLsh::Build(dim, config, {}, nullptr);
   std::vector<float> v(static_cast<size_t>(dim));
   for (auto& x : v) x = static_cast<float>(rng.Normal());
-  int64_t payload = 0;
   for (auto _ : state) {
-    lsh.Insert(v, payload++);
+    for (int t = 0; t < config.num_tables; ++t) {
+      benchmark::DoNotOptimize(lsh.Code(v, t));
+    }
   }
   SetGflops(state, 2.0 * static_cast<double>(dim) * config.num_bits *
                        config.num_tables);
@@ -331,12 +332,15 @@ BENCHMARK(BM_LshCodeDispatch)
 void BM_LshQuery(benchmark::State& state) {
   common::Rng rng(9);
   index::LshConfig config;
-  index::RandomHyperplaneLsh lsh(32, config);
-  for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    std::vector<float> v(32);
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
-    lsh.Insert(v, i);
+  std::vector<std::vector<float>> vectors(
+      static_cast<size_t>(state.range(0)), std::vector<float>(32));
+  std::vector<index::LshItem> items;
+  for (size_t i = 0; i < vectors.size(); ++i) {
+    for (auto& x : vectors[i]) x = static_cast<float>(rng.Normal());
+    items.push_back({vectors[i].data(), static_cast<int64_t>(i)});
   }
+  const auto lsh =
+      index::RandomHyperplaneLsh::Build(32, config, items, nullptr);
   std::vector<float> q(32);
   for (auto& x : q) x = static_cast<float>(rng.Normal());
   for (auto _ : state) {

@@ -5,7 +5,7 @@
 // reporting QPS plus closed-loop p50/p99 latency), a fault-injection phase
 // (a keyed failpoint poisons a known subset of request ids; the "faults"
 // JSON section records recovery QPS and blast-radius isolation),
-// sharded-LSH build and candidate-generation phases, and an "ingest"
+// LSH build and candidate-generation phases, and an "ingest"
 // phase (serving QPS/p99 while a writer appends tables at a fixed cadence
 // with background + forced mid-stream compaction, gated on the
 // epoch-determinism verdict: the post-append engine must rank
@@ -14,7 +14,7 @@
 // so perf PRs can track the BENCH_*.json trajectory.
 // A "machine" section (nproc, CPU model, active SIMD target) makes runs
 // comparable across hosts.
-// Parallel/sharded/async and serial paths must return identical top-k
+// Parallel/async and serial paths must return identical top-k
 // rankings, and the async service must drop nothing in block mode; the
 // JSON records every check and the exit code is nonzero when any fails.
 // docs/BENCHMARKS.md documents every emitted field.
@@ -368,41 +368,28 @@ int main(int argc, char** argv) {
     queries.push_back(oracle.Extract(fcm::chart::RenderLineChart({d})).value());
   }
 
-  // ---- Index build at each (threads, shards) configuration ----
-  // num_shards 0 resolves to the thread count; the final row pins a single
-  // shard at full thread count to isolate the sharded-build effect.
-  struct EngineConfig {
-    int threads;
-    int shards;  // 0 = resolve to threads.
-  };
+  // ---- Index build at each thread count ----
   std::vector<int> thread_counts = {1, 2, hardware};
   std::sort(thread_counts.begin(), thread_counts.end());
   thread_counts.erase(
       std::unique(thread_counts.begin(), thread_counts.end()),
       thread_counts.end());
-  std::vector<EngineConfig> engine_configs;
-  for (int threads : thread_counts) engine_configs.push_back({threads, 0});
-  if (hardware > 1) engine_configs.push_back({hardware, 1});
 
   struct BuildRow {
     int threads;
-    int shards;
     double seconds;
     double lsh_seconds;
   };
   std::vector<BuildRow> builds;
   std::vector<std::unique_ptr<fcm::index::SearchEngine>> engines;
-  for (const auto& ec : engine_configs) {
+  for (const int threads : thread_counts) {
     fcm::index::SearchEngineOptions options;
-    options.num_threads = ec.threads;
-    options.lsh.num_shards = ec.shards;
+    options.num_threads = threads;
     auto engine = std::make_unique<fcm::index::SearchEngine>(&model, &lake);
     const auto t0 = Clock::now();
     engine->BuildWithOptions(options);
-    // Record the resolved (power-of-two) shard count, not the request —
-    // the trajectory file must label configurations accurately.
-    builds.push_back({ec.threads, engine->build_stats().lsh_shards,
-                      Seconds(t0), engine->build_stats().lsh_build_seconds});
+    builds.push_back({threads, Seconds(t0),
+                      engine->build_stats().lsh_build_seconds});
     engines.push_back(std::move(engine));
   }
   fcm::index::SearchEngine& serial_engine = *engines.front();
@@ -421,7 +408,6 @@ int main(int argc, char** argv) {
   // ---- Batched serving at each configuration ----
   struct SearchRow {
     int threads;
-    int shards;
     double seconds;
     bool identical;
   };
@@ -432,11 +418,10 @@ int main(int argc, char** argv) {
     const double secs = Seconds(t0);
     const bool identical = SameHitLists(results, serial_results);
     all_identical = all_identical && identical;
-    searches.push_back(
-        {builds[e].threads, builds[e].shards, secs, identical});
+    searches.push_back({builds[e].threads, secs, identical});
   }
 
-  // ---- Ranking determinism across shard and thread counts ----
+  // ---- Ranking determinism across thread counts ----
   // For the strategies that consult the LSH index, every engine's batched
   // ranking (including tie order) must equal the serial engine's
   // per-query ranking.
@@ -599,48 +584,34 @@ int main(int argc, char** argv) {
       fault_recovered.isolation_ok && fault_recovered.faulted == 0;
   all_identical = all_identical && fault_phase_ok;
 
-  // ---- Sharded LSH build + candidate generation (index layer only) ----
+  // ---- LSH build + candidate generation (index layer only) ----
   // The engine-level lake keeps LSH build in the microseconds, so this
-  // phase scales the index layer alone: one batch insert of `lsh_items`
-  // embeddings, unsharded (legacy serial) vs sharded across the pool,
-  // then batched candidate generation on both indexes.
-  fcm::index::LshConfig lsh_base;
-  lsh_base.num_bits = 16;
-  lsh_base.num_tables = 8;
+  // phase scales the index layer alone: one pool build over `lsh_items`
+  // embeddings, then candidate generation serially and across the pool.
+  fcm::index::LshConfig lsh_config;
+  lsh_config.num_bits = 16;
+  lsh_config.num_tables = 8;
   const int lsh_dim = 32;
   const auto embeddings = RandomEmbeddings(lsh_items, lsh_dim, 101);
   const auto lsh_queries = RandomEmbeddings(256, lsh_dim, 102);
-  std::vector<fcm::index::LshInsertItem> items(embeddings.size());
+  std::vector<fcm::index::LshItem> items(embeddings.size());
   for (size_t i = 0; i < embeddings.size(); ++i) {
     // Three consecutive columns per synthetic table.
     items[i] = {embeddings[i].data(), static_cast<int64_t>(i / 3)};
   }
   fcm::common::ThreadPool lsh_pool(hardware);
-
-  auto unsharded_config = lsh_base;
-  unsharded_config.num_shards = 1;
-  fcm::index::RandomHyperplaneLsh unsharded(lsh_dim, unsharded_config);
-  const auto t_unsharded = Clock::now();
-  unsharded.InsertBatch(items, &lsh_pool);
-  const double unsharded_build = Seconds(t_unsharded);
-
-  // max(2, ...) keeps the sharded code path exercised (and the candidate
-  // equivalence check meaningful) even on a single-core machine, where it
-  // would otherwise collapse onto the serial fallback.
-  auto sharded_config = lsh_base;
-  sharded_config.num_shards = std::max(2, hardware);
-  fcm::index::RandomHyperplaneLsh sharded(lsh_dim, sharded_config);
-  const auto t_sharded = Clock::now();
-  sharded.InsertBatch(items, &lsh_pool);
-  const double sharded_build = Seconds(t_sharded);
+  const auto t_lsh_build = Clock::now();
+  const auto lsh = fcm::index::RandomHyperplaneLsh::Build(
+      lsh_dim, lsh_config, items, &lsh_pool);
+  const double lsh_build_seconds = Seconds(t_lsh_build);
 
   const auto t_query_serial = Clock::now();
-  const auto unsharded_hits = unsharded.QueryBatch(lsh_queries, nullptr);
+  const auto serial_hits = lsh.QueryBatch(lsh_queries, nullptr);
   const double query_serial_seconds = Seconds(t_query_serial);
   const auto t_query_batch = Clock::now();
-  const auto sharded_hits = sharded.QueryBatch(lsh_queries, &lsh_pool);
+  const auto batch_hits = lsh.QueryBatch(lsh_queries, &lsh_pool);
   const double query_batch_seconds = Seconds(t_query_batch);
-  const bool candidates_identical = sharded_hits == unsharded_hits;
+  const bool candidates_identical = batch_hits == serial_hits;
   all_identical = all_identical && candidates_identical;
 
   // ---- Snapshot: save / open vs rebuild (cold-start serving) ----
@@ -898,9 +869,9 @@ int main(int argc, char** argv) {
   json += "  \"build\": [\n";
   for (size_t i = 0; i < builds.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
-                  "    {\"threads\": %d, \"shards\": %d, \"seconds\": %.4f, "
+                  "    {\"threads\": %d, \"seconds\": %.4f, "
                   "\"lsh_seconds\": %.5f, \"speedup\": %.3f}%s\n",
-                  builds[i].threads, builds[i].shards, builds[i].seconds,
+                  builds[i].threads, builds[i].seconds,
                   builds[i].lsh_seconds,
                   builds[0].seconds / std::max(builds[i].seconds, 1e-9),
                   i + 1 < builds.size() ? "," : "");
@@ -918,10 +889,10 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < searches.size(); ++i) {
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"threads\": %d, \"shards\": %d, \"seconds\": %.4f, "
+        "    {\"threads\": %d, \"seconds\": %.4f, "
         "\"qps\": %.2f, \"speedup_vs_single\": %.3f, "
         "\"identical_topk\": %s}%s\n",
-        searches[i].threads, searches[i].shards, searches[i].seconds,
+        searches[i].threads, searches[i].seconds,
         static_cast<double>(queries.size()) /
             std::max(searches[i].seconds, 1e-9),
         serial_seconds / std::max(searches[i].seconds, 1e-9),
@@ -1057,25 +1028,22 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "    \"items\": %d, \"dim\": %d, \"tables\": %d, "
                 "\"bits\": %d,\n",
-                lsh_items, lsh_dim, lsh_base.num_tables, lsh_base.num_bits);
+                lsh_items, lsh_dim, lsh_config.num_tables,
+                lsh_config.num_bits);
   json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"build\": [\n      {\"shards\": 1, \"seconds\": "
-                "%.4f},\n      {\"shards\": %d, \"seconds\": %.4f, "
-                "\"speedup_vs_unsharded\": %.3f}\n    ],\n",
-                unsharded_build, sharded.num_shards(), sharded_build,
-                unsharded_build / std::max(sharded_build, 1e-9));
+  std::snprintf(buf, sizeof(buf), "    \"build_seconds\": %.4f,\n",
+                lsh_build_seconds);
   json += buf;
   std::snprintf(
       buf, sizeof(buf),
-      "    \"candidate_generation\": [\n      {\"shards\": 1, \"threads\": "
-      "1, \"seconds\": %.4f, \"qps\": %.1f},\n      {\"shards\": %d, "
-      "\"threads\": %d, \"seconds\": %.4f, \"qps\": %.1f, "
-      "\"speedup_vs_serial\": %.3f}\n    ],\n",
+      "    \"candidate_generation\": [\n      {\"threads\": 1, "
+      "\"seconds\": %.4f, \"qps\": %.1f},\n      {\"threads\": %d, "
+      "\"seconds\": %.4f, \"qps\": %.1f, \"speedup_vs_serial\": %.3f}\n"
+      "    ],\n",
       query_serial_seconds,
       static_cast<double>(lsh_queries.size()) /
           std::max(query_serial_seconds, 1e-9),
-      sharded.num_shards(), hardware, query_batch_seconds,
+      hardware, query_batch_seconds,
       static_cast<double>(lsh_queries.size()) /
           std::max(query_batch_seconds, 1e-9),
       query_serial_seconds / std::max(query_batch_seconds, 1e-9));

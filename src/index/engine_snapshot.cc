@@ -213,7 +213,6 @@ common::Status SearchEngine::SaveSnapshot(const std::string& path) const {
         " segments; call Compact() before SaveSnapshot");
   }
   const IndexSegment& segment = *pin->segments_.front();
-  FCM_CHECK(segment.lsh->frozen());
   storage::SnapshotWriter writer;
 
   // meta.
@@ -226,7 +225,9 @@ common::Status SearchEngine::SaveSnapshot(const std::string& path) const {
   meta.WriteU32(static_cast<uint32_t>(options_.lsh.num_tables));
   meta.WriteU32(options_.lsh.probe_hamming1 ? 1 : 0);
   meta.WriteU64(options_.lsh.seed);
-  meta.WriteU32(static_cast<uint32_t>(segment.lsh->num_shards()));
+  // LSH shard count: always 1 since bucket sharding was removed; kept so
+  // the meta layout is that of every snapshot already on disk.
+  meta.WriteU32(1);
   meta.WriteU64(segment.lsh->num_items());
   // Engine-meta v2 block; the precision field is always 0 (f32).
   meta.WriteU32(kEngineMetaVersion);
@@ -316,7 +317,8 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
     return common::Status::OK();
   };
   uint32_t index_x_derivations = 0, x_derivation_grid = 0;
-  uint32_t lsh_bits = 0, lsh_tables = 0, lsh_hamming1 = 0, lsh_shards = 0;
+  uint32_t lsh_bits = 0, lsh_tables = 0, lsh_hamming1 = 0;
+  uint32_t lsh_shard_field = 0;
   FCM_RETURN_IF_ERROR(rd_u32(&index_x_derivations));
   FCM_RETURN_IF_ERROR(rd_u32(&x_derivation_grid));
   FCM_RETURN_IF_ERROR(rd_u32(&lsh_bits));
@@ -324,7 +326,7 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   FCM_RETURN_IF_ERROR(rd_u32(&lsh_hamming1));
   auto lsh_seed = meta.ReadU64();
   if (!lsh_seed.ok()) return lsh_seed.status();
-  FCM_RETURN_IF_ERROR(rd_u32(&lsh_shards));
+  FCM_RETURN_IF_ERROR(rd_u32(&lsh_shard_field));
   auto lsh_items = meta.ReadU64();
   if (!lsh_items.ok()) return lsh_items.status();
   if (config.embed_dim <= 0 || config.embed_dim > (1 << 20)) {
@@ -346,6 +348,12 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   if (precision != 0) {
     return Bad("embedding precision " + std::to_string(precision) +
                " is no longer supported (only f32); rebuild the snapshot");
+  }
+  // Sharded LSH layouts (one code group per table x shard) are gone; only
+  // the single-group-per-table layout opens.
+  if (lsh_shard_field != 1) {
+    return Bad("lsh shard count " + std::to_string(lsh_shard_field) +
+               " is no longer supported (only 1); rebuild the snapshot");
   }
   if (meta.remaining() != 0) return Bad("trailing engine meta bytes");
 
@@ -369,7 +377,6 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   engine->options_.lsh.num_tables = static_cast<int>(lsh_tables);
   engine->options_.lsh.probe_hamming1 = lsh_hamming1 != 0;
   engine->options_.lsh.seed = lsh_seed.value();
-  engine->options_.lsh.num_shards = static_cast<int>(lsh_shards);
   engine->options_.mean_prefilter = static_cast<int>(mean_prefilter);
   engine->pool_ = std::make_unique<common::ThreadPool>(options.num_threads);
 
@@ -519,8 +526,6 @@ common::Result<std::unique_ptr<SearchEngine>> SearchEngine::OpenSnapshot(
   engine->build_stats_.interval_memory_bytes =
       segment->interval_tree->MemoryBytes();
   engine->build_stats_.lsh_memory_bytes = segment->lsh->MemoryBytes();
-  engine->build_stats_.lsh_shards = segment->lsh->num_shards();
-  engine->build_stats_.embedding_bytes = segment->embedding_bytes();
 
   std::shared_ptr<EngineEpoch> epoch(new EngineEpoch());
   epoch->id_ = 0;

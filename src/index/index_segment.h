@@ -78,8 +78,6 @@ struct IndexSegment {
   table::TableId end_id() const {
     return first_id + static_cast<table::TableId>(entries.size());
   }
-  /// Bytes held by this segment's serving-side mean-embedding tier.
-  size_t embedding_bytes() const { return means_view.size() * sizeof(float); }
 };
 
 }  // namespace fcm::index

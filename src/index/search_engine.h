@@ -2,16 +2,16 @@
 // and LSH candidate pruning followed by FCM re-ranking of the survivors.
 //
 // Heavy stages fan out over a fixed thread pool: per-table encoding and
-// sharded LSH insertion at build time, LSH candidate generation and
-// per-candidate scoring at query time. Parallel execution is bit-identical
-// to the serial path — tables and candidates are scored independently,
-// consumed in deterministic order, and candidate ids are sorted before
-// scoring — so rankings (including tie order) never depend on the thread
-// count, the LSH shard count, or hash-set iteration order.
+// LSH codes at build time, LSH candidate generation and per-candidate
+// scoring at query time. Parallel execution is bit-identical to the serial
+// path — tables and candidates are scored independently, consumed in
+// deterministic order, and candidate ids are sorted before scoring — so
+// rankings (including tie order) never depend on the thread count or
+// hash-set iteration order.
 //
 // Live ingestion (the mutable-data-lake tentpole): a built engine is no
 // longer frozen for life. IngestBatch appends new tables as immutable
-// *delta segments* (incremental sharded LSH insert + an interval-tree
+// *delta segments* (an LSH build + an interval-tree
 // delta over just the new tables) and publishes a new *epoch*; Compact
 // merges every segment into a fresh frozen base. Readers pin an epoch for
 // the duration of a Search / SearchBatch / async request — an O(1)
@@ -75,11 +75,6 @@ struct BuildStats {
   double encode_seconds = 0.0;
   size_t interval_memory_bytes = 0;
   size_t lsh_memory_bytes = 0;
-  /// Shard count the LSH index resolved to (power of two; may differ from
-  /// the requested LshConfig::num_shards).
-  int lsh_shards = 1;
-  /// Bytes held by the serving-side mean-embedding tier (the f32 block).
-  size_t embedding_bytes = 0;
 };
 
 /// Statistics of one IngestBatch call.
@@ -106,8 +101,7 @@ struct CompactStats {
 
 /// Engine construction options.
 struct SearchEngineOptions {
-  /// LSH settings; `lsh.num_shards <= 0` resolves to the engine's thread
-  /// pool size so build inserts fan out across every worker.
+  /// LSH settings.
   LshConfig lsh;
   /// Numerical x-axis generalization (paper Sec. VI-B): for every table,
   /// also index its T' derivations — the table re-sorted by each column
@@ -207,7 +201,7 @@ class SearchEngine {
   /// Appends `tables` to the served index as one immutable delta segment
   /// and publishes a new epoch. The tables are assigned the next dense
   /// ids (num_tables(), num_tables()+1, ...), encoded with the engine's
-  /// model, inserted into a fresh sharded LSH + interval-tree delta, and
+  /// model, indexed by a fresh LSH + interval-tree delta, and
   /// dropped — only their encodings are retained. In-flight readers keep
   /// their pinned epoch; new pins see the appended tables. Writers
   /// (IngestBatch / Compact) serialize among themselves; concurrent
@@ -284,16 +278,16 @@ class SearchEngine {
       IndexStrategy strategy, std::vector<QueryStats>* stats = nullptr,
       const EpochPin& epoch = nullptr) const;
 
-  // ---- Serving-pipeline stages ----
+  // ---- Serving stages ----
   // Search and SearchBatch are thin compositions of the three stages
-  // below, and AsyncSearchService runs them as overlapping pipeline
-  // stages on micro-batches of queued requests. Because every path goes
+  // below, and AsyncSearchService runs them in turn on micro-batches of
+  // queued requests. Because every path goes
   // through the same stage code with per-request strategy and k, a
   // request's ranking is bit-identical however requests are grouped into
   // stage calls. Stages are const and safe to call concurrently from
   // several threads (the shared pool accepts concurrent owners). The
   // index-consulting stages take an optional pinned epoch; a caller
-  // serving one request across several stage calls (the async pipeline)
+  // serving one request across several stage calls (the async service)
   // passes the same pin to each so the request sees one consistent index
   // generation end to end.
 
@@ -328,7 +322,7 @@ class SearchEngine {
   void EncodeStage(std::vector<StagedQuery>* staged,
                    StageTiming* timing = nullptr) const;
 
-  /// Stage 2 — candidate generation: one sharded LSH QueryBatch per
+  /// Stage 2 — candidate generation: one LSH QueryBatch per
   /// segment of the pinned epoch over every staged query that consults
   /// the LSH index, then the per-query merge (sorted ids, identical to
   /// the single-query path). `timing`, when given, receives the stage's
@@ -350,10 +344,6 @@ class SearchEngine {
       const EpochPin& epoch = nullptr) const;
 
   const BuildStats& build_stats() const { return build_stats_; }
-
-  /// Bytes held by the serving-side mean-embedding tier across every
-  /// segment of the current epoch (see BuildStats::embedding_bytes).
-  size_t embedding_bytes() const;
 
   /// Mean embedding of a [N, K] representation (index key derivation:
   /// "averaging all representations of segments", Sec. VI-A).
@@ -391,8 +381,8 @@ class SearchEngine {
                            std::vector<table::TableId>* candidates) const;
 
   /// Encodes `tables` (global ids first_id, first_id+1, ...) into one
-  /// frozen segment: entries + means block, sharded LSH
-  /// insert in table order, interval tree. The shared construction path
+  /// frozen segment: entries + means block, LSH built over the
+  /// means in table order, interval tree. The shared construction path
   /// of Build and IngestBatch — a delta segment is built exactly like a
   /// base, just over fewer tables.
   std::shared_ptr<const IndexSegment> BuildSegment(

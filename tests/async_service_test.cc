@@ -4,10 +4,11 @@
 // shutdown (drain and cancel), fault tolerance (blast-radius isolation,
 // per-request deadlines, the circuit breaker — driven by failpoints), and
 // many-submitter stress — the latter is the TSan target for concurrent
-// stage dispatch onto the shared pool (build with -DFCM_SANITIZE=thread).
+// submitters against the service thread (build with -DFCM_SANITIZE=thread).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -83,7 +84,7 @@ class AsyncSearchServiceTest : public ::testing::Test {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].table_id, b[i].table_id) << "rank " << i;
-      // Bit-identical, not approximately equal: the async pipeline runs
+      // Bit-identical, not approximately equal: the async service runs
       // the same stage code as Search, so scores must match exactly.
       EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
     }
@@ -188,6 +189,49 @@ TEST_F(AsyncSearchServiceTest, BlockModeNeverDropsUnderTinyQueue) {
   EXPECT_EQ(stats.submitted, static_cast<uint64_t>(rounds));
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(rounds));
   EXPECT_EQ(stats.rejected, 0u);
+}
+
+TEST_F(AsyncSearchServiceTest, AdmittedWorkIsBoundedByQueueAndBatch) {
+  // Under kBlock an admitted request is either queued (at most
+  // queue_capacity) or in the micro-batch in service (at most
+  // max_batch_size); nothing else holds admitted work. Slow scoring keeps
+  // the queue saturated while a sampler watches submitted - settled.
+  common::failpoint::Spec spec;
+  spec.action = common::failpoint::Action::kDelay;
+  spec.delay_ms = 20.0;
+  common::failpoint::Arm("engine.score_stage", std::move(spec));
+
+  AsyncServiceOptions options;
+  options.queue_capacity = 2;
+  options.backpressure = BackpressureMode::kBlock;
+  options.max_batch_size = 1;
+  options.max_batch_delay_ms = 0.0;
+  AsyncSearchService service(engine_.get(), options);
+  std::atomic<bool> done{false};
+  uint64_t max_outstanding = 0;
+  std::thread sampler([&]() {
+    while (!done.load()) {
+      const auto stats = service.stats();
+      const uint64_t settled = stats.completed + stats.cancelled +
+                               stats.failed + stats.deadline_expired;
+      max_outstanding = std::max(max_outstanding, stats.submitted - settled);
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
+  std::vector<std::future<std::vector<SearchHit>>> futures;
+  for (int r = 0; r < 12; ++r) {
+    futures.push_back(service.Submit(queries_[static_cast<size_t>(r) % 5], 2,
+                                     IndexStrategy::kNoIndex));
+  }
+  for (auto& future : futures) future.get();
+  done.store(true);
+  sampler.join();
+  EXPECT_LE(max_outstanding,
+            options.queue_capacity + options.max_batch_size);
+  // The sampler saw the queue saturated, so the bound was exercised.
+  EXPECT_GE(max_outstanding, options.queue_capacity);
+  service.Shutdown();
+  ExpectBalanced(service.stats());
 }
 
 TEST_F(AsyncSearchServiceTest, RejectModeAccountsForEveryRequest) {
@@ -417,7 +461,7 @@ TEST_F(AsyncSearchServiceTest, DeadlinesShedExpiredRequests) {
 }
 
 TEST_F(AsyncSearchServiceTest, DeadlineExpiresWhileBlockedOnFullQueue) {
-  // kBlock + a slow pipeline: a deadlined Submit must not block past its
+  // kBlock + slow scoring: a deadlined Submit must not block past its
   // deadline. Whether it times out in the admission wait or is admitted
   // and shed later, it fails with DeadlineExceededError and the books
   // stay balanced.
@@ -586,9 +630,9 @@ TEST_F(AsyncSearchServiceTest, SubmittersRacingCancelShutdownSettleExactlyOnce) 
 
 TEST_F(AsyncSearchServiceTest, ManySubmittersStress) {
   // Several submitter threads against one service, mixed strategies, with
-  // the pipeline stages dispatching onto the engine pool concurrently the
-  // whole time. Under FCM_SANITIZE=thread this is the regression test for
-  // the multi-owner ThreadPool contract.
+  // the service thread dispatching stages onto the engine pool the whole
+  // time. Under FCM_SANITIZE=thread this is the regression test for the
+  // submit / serve / settle hand-offs.
   AsyncServiceOptions options;
   options.queue_capacity = 16;
   options.max_batch_size = 4;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "chart/renderer.h"
@@ -76,14 +77,34 @@ TEST(IntervalTreeTest, MemoryReported) {
   EXPECT_GT(tree.MemoryBytes(), 0u);
 }
 
+std::vector<std::vector<float>> RandomEmbeddings(int n, int dim,
+                                                 uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<std::vector<float>> out(static_cast<size_t>(n));
+  for (auto& v : out) {
+    v.resize(static_cast<size_t>(dim));
+    for (auto& x : v) x = static_cast<float>(rng.Normal());
+  }
+  return out;
+}
+
+/// Builds an index over `vectors`, item i carrying payloads[i].
+RandomHyperplaneLsh BuildLsh(int dim, const LshConfig& config,
+                             const std::vector<std::vector<float>>& vectors,
+                             const std::vector<int64_t>& payloads,
+                             common::ThreadPool* pool = nullptr) {
+  std::vector<LshItem> items;
+  for (size_t i = 0; i < vectors.size(); ++i) {
+    items.push_back({vectors[i].data(), payloads[i]});
+  }
+  return RandomHyperplaneLsh::Build(dim, config, items, pool);
+}
+
 TEST(LshTest, SelfQueryCollides) {
   LshConfig config;
-  RandomHyperplaneLsh lsh(16, config);
-  common::Rng rng(3);
-  std::vector<float> v(16);
-  for (auto& x : v) x = static_cast<float>(rng.Normal());
-  lsh.Insert(v, 42);
-  const auto hits = lsh.Query(v);
+  const auto v = RandomEmbeddings(1, 16, 3);
+  const auto lsh = BuildLsh(16, config, v, {42});
+  const auto hits = lsh.Query(v[0]);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 42);
 }
@@ -93,12 +114,11 @@ TEST(LshTest, SimilarVectorsCollideMoreThanRandom) {
   config.num_bits = 10;
   config.num_tables = 2;
   config.probe_hamming1 = false;
-  RandomHyperplaneLsh lsh(32, config);
   common::Rng rng(4);
 
   std::vector<float> base(32);
   for (auto& x : base) x = static_cast<float>(rng.Normal());
-  lsh.Insert(base, 0);
+  const auto lsh = BuildLsh(32, config, {base}, {0});
 
   int near_hits = 0, far_hits = 0;
   const int trials = 60;
@@ -115,10 +135,8 @@ TEST(LshTest, SimilarVectorsCollideMoreThanRandom) {
 
 TEST(LshTest, CodeIsStablePerTable) {
   LshConfig config;
-  RandomHyperplaneLsh lsh(8, config);
-  common::Rng rng(5);
-  std::vector<float> v(8);
-  for (auto& x : v) x = static_cast<float>(rng.Normal());
+  const auto lsh = BuildLsh(8, config, {}, {});
+  const auto v = RandomEmbeddings(1, 8, 5)[0];
   EXPECT_EQ(lsh.Code(v, 0), lsh.Code(v, 0));
   // Different tables use different hyperplanes (almost surely different
   // codes for a random vector with 12 bits).
@@ -131,86 +149,104 @@ TEST(LshTest, Hamming1ProbingWidensRecall) {
   narrow.num_tables = 1;
   LshConfig wide = narrow;
   wide.probe_hamming1 = true;
-  RandomHyperplaneLsh a(16, narrow), b(16, wide);
   common::Rng rng(6);
-  int a_hits = 0, b_hits = 0;
+  std::vector<std::vector<float>> items, nears;
+  std::vector<int64_t> payloads;
   for (int i = 0; i < 40; ++i) {
-    std::vector<float> v(16), near(16);
+    std::vector<float> v(16);
     for (auto& x : v) x = static_cast<float>(rng.Normal());
-    near = v;
+    std::vector<float> near = v;
     for (auto& x : near) x += static_cast<float>(rng.Normal(0.0, 0.15));
-    a.Insert(v, i);
-    b.Insert(v, i);
+    items.push_back(std::move(v));
+    nears.push_back(std::move(near));
+    payloads.push_back(i);
+  }
+  const auto a = BuildLsh(16, narrow, items, payloads);
+  const auto b = BuildLsh(16, wide, items, payloads);
+  int a_hits = 0, b_hits = 0;
+  for (const auto& near : nears) {
     if (!a.Query(near).empty()) ++a_hits;
     if (!b.Query(near).empty()) ++b_hits;
   }
   EXPECT_GE(b_hits, a_hits);
+  EXPECT_GT(b_hits, 0);
 }
 
-// ---- Sharded LSH: equivalence across shard counts and build paths ----
-
-std::vector<std::vector<float>> RandomEmbeddings(int n, int dim,
-                                                 uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<std::vector<float>> out(static_cast<size_t>(n));
-  for (auto& v : out) {
-    v.resize(static_cast<size_t>(dim));
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
-  }
-  return out;
-}
-
-TEST(LshShardTest, ShardCountDoesNotChangeQueryResults) {
-  const auto items = RandomEmbeddings(200, 24, 11);
-  const auto queries = RandomEmbeddings(40, 24, 12);
-  std::vector<std::vector<std::vector<int64_t>>> per_shard_results;
-  for (int shards : {1, 2, 8}) {
-    LshConfig config;
-    config.num_bits = 10;
-    config.num_shards = shards;
-    RandomHyperplaneLsh lsh(24, config);
-    EXPECT_EQ(lsh.num_shards(), shards);
-    for (size_t i = 0; i < items.size(); ++i) {
-      lsh.Insert(items[i], static_cast<int64_t>(i % 50));
-    }
-    std::vector<std::vector<int64_t>> results;
-    for (const auto& q : queries) results.push_back(lsh.Query(q));
-    per_shard_results.push_back(std::move(results));
-  }
-  EXPECT_EQ(per_shard_results[0], per_shard_results[1]);
-  EXPECT_EQ(per_shard_results[0], per_shard_results[2]);
-}
-
-TEST(LshShardTest, InsertBatchMatchesSerialInserts) {
-  const auto items = RandomEmbeddings(150, 16, 21);
-  const auto queries = RandomEmbeddings(30, 16, 22);
-  LshConfig config;
-  config.num_shards = 4;
-  RandomHyperplaneLsh serial(16, config), batched(16, config);
-  std::vector<LshInsertItem> batch;
+TEST(LshTest, BuildMatchesPerBucketReference) {
+  // Reference semantics of the layout: per table, buckets in ascending
+  // code order; within a bucket, payloads in item order with adjacent
+  // duplicates dropped. Serial and pool builds must both produce it.
+  const auto items = RandomEmbeddings(300, 16, 21);
+  std::vector<int64_t> payloads;
   for (size_t i = 0; i < items.size(); ++i) {
-    const auto payload = static_cast<int64_t>(i / 3);  // Columns per table.
-    serial.Insert(items[i], payload);
-    batch.push_back({items[i].data(), payload});
+    payloads.push_back(static_cast<int64_t>(i / 3));  // Columns per table.
   }
+  LshConfig config;
+  config.num_bits = 6;  // Few bits: many multi-item buckets.
   common::ThreadPool pool(4);
-  batched.InsertBatch(batch, &pool);
-  EXPECT_EQ(batched.num_items(), serial.num_items());
-  EXPECT_EQ(batched.MemoryBytes(), serial.MemoryBytes());
-  for (const auto& q : queries) {
-    EXPECT_EQ(batched.Query(q), serial.Query(q));
+  common::ThreadPool* const build_pools[] = {nullptr, &pool};
+  for (common::ThreadPool* build_pool : build_pools) {
+    const auto lsh = BuildLsh(16, config, items, payloads, build_pool);
+    std::vector<uint64_t> group_begin{0}, codes, payload_begin;
+    std::vector<int64_t> expected_payloads;
+    for (int t = 0; t < config.num_tables; ++t) {
+      std::map<uint64_t, std::vector<int64_t>> buckets;
+      for (size_t i = 0; i < items.size(); ++i) {
+        auto& bucket = buckets[lsh.Code(items[i], t)];
+        if (bucket.empty() || bucket.back() != payloads[i]) {
+          bucket.push_back(payloads[i]);
+        }
+      }
+      for (const auto& [code, bucket] : buckets) {
+        codes.push_back(code);
+        payload_begin.push_back(expected_payloads.size());
+        expected_payloads.insert(expected_payloads.end(), bucket.begin(),
+                                 bucket.end());
+      }
+      group_begin.push_back(codes.size());
+    }
+    payload_begin.push_back(expected_payloads.size());
+    const auto& view = lsh.frozen_view();
+    EXPECT_EQ(view.group_begin.ToVector(), group_begin);
+    EXPECT_EQ(view.codes.ToVector(), codes);
+    EXPECT_EQ(view.payload_begin.ToVector(), payload_begin);
+    EXPECT_EQ(view.payloads.ToVector(), expected_payloads);
+    EXPECT_EQ(lsh.num_items(), items.size());
   }
 }
 
-TEST(LshShardTest, QueryBatchMatchesQuery) {
+TEST(LshTest, FromFrozenAnswersLikeTheBuiltIndex) {
+  const auto items = RandomEmbeddings(120, 16, 25);
+  const auto queries = RandomEmbeddings(20, 16, 26);
+  std::vector<int64_t> payloads;
+  for (size_t i = 0; i < items.size(); ++i) {
+    payloads.push_back(static_cast<int64_t>(i));
+  }
+  LshConfig config;
+  const auto built = BuildLsh(16, config, items, payloads);
+  auto wrapped = RandomHyperplaneLsh::FromFrozen(16, config, items.size(),
+                                                 built.frozen_view());
+  ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+  for (const auto& q : queries) {
+    EXPECT_EQ(wrapped.value().Query(q), built.Query(q));
+  }
+  // A layout with one code group per (table, shard) no longer opens.
+  std::vector<uint64_t> sharded_begin(
+      static_cast<size_t>(config.num_tables) * 2 + 1, 0);
+  auto frozen = built.frozen_view();
+  frozen.group_begin = sharded_begin;
+  EXPECT_FALSE(
+      RandomHyperplaneLsh::FromFrozen(16, config, items.size(), frozen).ok());
+}
+
+TEST(LshTest, QueryBatchMatchesQuery) {
   const auto items = RandomEmbeddings(120, 16, 31);
   const auto queries = RandomEmbeddings(25, 16, 32);
-  LshConfig config;
-  config.num_shards = 8;
-  RandomHyperplaneLsh lsh(16, config);
+  std::vector<int64_t> payloads;
   for (size_t i = 0; i < items.size(); ++i) {
-    lsh.Insert(items[i], static_cast<int64_t>(i));
+    payloads.push_back(static_cast<int64_t>(i));
   }
+  const auto lsh = BuildLsh(16, LshConfig(), items, payloads);
   common::ThreadPool pool(4);
   const auto batched = lsh.QueryBatch(queries, &pool);
   const auto serial = lsh.QueryBatch(queries, nullptr);
@@ -222,18 +258,13 @@ TEST(LshShardTest, QueryBatchMatchesQuery) {
 }
 
 TEST(LshTest, AdjacentDuplicatePayloadsDeduped) {
-  // Two columns of one table hashing to the same bucket used to append the
-  // payload twice, inflating MemoryBytes and probe cost with no effect on
-  // (deduplicating) queries.
-  LshConfig config;
-  config.num_shards = 1;
-  RandomHyperplaneLsh once(16, config), twice(16, config);
-  common::Rng rng(41);
-  std::vector<float> v(16);
-  for (auto& x : v) x = static_cast<float>(rng.Normal());
-  once.Insert(v, 7);
-  twice.Insert(v, 7);
-  twice.Insert(v, 7);  // Same code in every table, same payload.
+  // Two columns of one table hashing to the same bucket must not append
+  // the payload twice: that would inflate MemoryBytes and probe cost with
+  // no effect on (deduplicating) queries.
+  const auto v = RandomEmbeddings(1, 16, 41)[0];
+  const auto once = BuildLsh(16, LshConfig(), {v}, {7});
+  // Same code in every table, same payload.
+  const auto twice = BuildLsh(16, LshConfig(), {v, v}, {7, 7});
   EXPECT_EQ(twice.MemoryBytes(), once.MemoryBytes());
   EXPECT_EQ(twice.Query(v), once.Query(v));
 }
@@ -510,32 +541,6 @@ TEST_F(ParallelSearchEngineTest, RepeatedSearchIsDeterministic) {
       ExpectSameHits(first, second);
       for (SearchEngine* engine : {serial_.get(), parallel_.get()}) {
         ExpectSameHits(first, engine->Search(query, k, strategy));
-      }
-    }
-  }
-}
-
-TEST_F(ParallelSearchEngineTest, ShardCountDoesNotChangeResults) {
-  // num_shards ∈ {1, 2, 8} must yield identical candidate sets and hit
-  // order (1 is the legacy unsharded layout).
-  const int k = static_cast<int>(lake_.size());
-  std::vector<std::unique_ptr<SearchEngine>> engines;
-  for (int shards : {1, 2, 8}) {
-    SearchEngineOptions options;
-    options.num_threads = 4;
-    options.lsh.num_shards = shards;
-    auto engine = std::make_unique<SearchEngine>(model_.get(), &lake_);
-    engine->BuildWithOptions(options);
-    engines.push_back(std::move(engine));
-  }
-  for (const auto strategy : {IndexStrategy::kLsh, IndexStrategy::kHybrid}) {
-    for (const auto& query : queries_) {
-      QueryStats base_stats;
-      const auto base = engines[0]->Search(query, k, strategy, &base_stats);
-      for (size_t e = 1; e < engines.size(); ++e) {
-        QueryStats stats;
-        ExpectSameHits(base, engines[e]->Search(query, k, strategy, &stats));
-        EXPECT_EQ(stats.candidates_scored, base_stats.candidates_scored);
       }
     }
   }

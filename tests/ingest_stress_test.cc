@@ -8,7 +8,7 @@
 //     precomputed ranking for that pin's table count, bit for bit;
 //   - async requests: a future's ranking must equal the precomputed
 //     ranking of SOME generation current between submit and completion
-//     (the pipeline pins one epoch per micro-batch);
+//     (the service pins one epoch per micro-batch);
 //   - compaction (background Compactor + explicit service.Compact calls
 //     racing it) must never surface in any result;
 //   - accounting: every future resolves and the drained service balances.
@@ -261,7 +261,7 @@ TEST_F(IngestStressTest, ConcurrentWriterReadersCompactorStayLinearizable) {
   }
 
   // Async submitter: a future must resolve to the ranking of SOME
-  // generation current in [submit, completion] — the pipeline pins one
+  // generation current in [submit, completion] — the service pins one
   // epoch per micro-batch, but the submitter cannot know which.
   std::thread submitter([&] {
     std::mt19937_64 rng(seed_ ^ 0xda3e39cb94b95bdbULL);

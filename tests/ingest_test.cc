@@ -3,7 +3,7 @@
 // epoch must rank EXPECT_EQ-bit-identically to a from-scratch Build over
 // the same logical tables — across thread counts, all four strategies,
 // the mean-similarity prefilter, Search vs SearchBatch vs the async
-// pipeline — and compaction must change neither a pinned epoch's results
+// service — and compaction must change neither a pinned epoch's results
 // nor the current epoch's. This is the proof of the PR's determinism
 // contract; the concurrent interleavings live in ingest_stress_test.cc.
 
@@ -295,7 +295,7 @@ TEST_F(IngestTest, AsyncServiceServesIngestAndCompactUnderCoalescing) {
 
   // Quiesced equivalence at every generation: base, post-ingest,
   // post-compact. (The racing interleavings are ingest_stress_test.cc's
-  // job; here the async pipeline must be exact whenever the epoch under
+  // job; here the async service must be exact whenever the epoch under
   // its feet is fixed.)
   {
     const auto reference = BuildReference(6, Options(2));

@@ -221,14 +221,16 @@ TEST(LshPropertyTest, CollisionRateIncreasesWithCosineSimilarity) {
   index::LshConfig config;
   config.num_bits = 10;
   config.num_tables = 4;
-  index::RandomHyperplaneLsh lsh(dim, config);
 
   std::vector<std::vector<float>> base(40);
+  std::vector<index::LshItem> items;
   for (size_t i = 0; i < base.size(); ++i) {
     base[i].resize(dim);
     for (auto& v : base[i]) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-    lsh.Insert(base[i], static_cast<int64_t>(i));
+    items.push_back({base[i].data(), static_cast<int64_t>(i)});
   }
+  const auto lsh =
+      index::RandomHyperplaneLsh::Build(dim, config, items, nullptr);
 
   int near_hits = 0, random_hits = 0;
   for (size_t i = 0; i < base.size(); ++i) {
@@ -258,7 +260,7 @@ TEST(LshPropertyTest, CollisionRateIncreasesWithCosineSimilarity) {
 TEST(LshPropertyTest, CodeIsDeterministicPerTable) {
   common::Rng rng(99);
   index::LshConfig config;
-  index::RandomHyperplaneLsh lsh(8, config);
+  const auto lsh = index::RandomHyperplaneLsh::Build(8, config, {}, nullptr);
   std::vector<float> v(8);
   for (auto& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
   for (int t = 0; t < config.num_tables; ++t) {

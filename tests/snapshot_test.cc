@@ -224,7 +224,6 @@ TEST_F(EngineSnapshotTest, PrefilterEngineRoundTripBitIdentical) {
     auto opened = SearchEngine::OpenSnapshot(path, open_options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     const auto& served = opened.value();
-    EXPECT_EQ(served->embedding_bytes(), built.embedding_bytes());
     for (const auto strategy : kAllStrategies) {
       for (const auto& q : queries_) {
         QueryStats built_stats, served_stats;
@@ -286,6 +285,46 @@ TEST_F(EngineSnapshotTest, NonF32PrecisionIsRejectedWithRebuildHint) {
   EXPECT_NE(opened.status().ToString().find("rebuild"), std::string::npos)
       << opened.status().ToString();
   std::remove(path.c_str());
+}
+
+TEST_F(EngineSnapshotTest, ShardedLshMetaIsRejectedWithRebuildHint) {
+  // The LSH shard field (the u32 after the LSH seed, 24 bytes before the
+  // end of the meta stream) is always 1. A snapshot with a sharded LSH
+  // layout must fail the open with a rebuild hint, not abort.
+  const std::string path = TempPath("sharded.fcmsnap");
+  auto opened = OpenWithEditedMeta(path_, path, [](std::vector<uint8_t>* m) {
+    const size_t offset = m->size() - 4 * sizeof(uint32_t) - sizeof(uint64_t);
+    uint32_t shards = 0;
+    std::memcpy(&shards, m->data() + offset, sizeof(shards));
+    ASSERT_EQ(shards, 1u);
+    shards = 4;
+    std::memcpy(m->data() + offset, &shards, sizeof(shards));
+  });
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().ToString().find("rebuild"), std::string::npos)
+      << opened.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST_F(EngineSnapshotTest, SnapshotBytesDoNotDependOnThreadCount) {
+  // The LSH layout is a pure function of the indexed items, so engines
+  // built with different pool sizes save byte-identical files.
+  std::vector<std::vector<uint8_t>> images;
+  for (const int threads : {1, 4}) {
+    SearchEngineOptions options;
+    options.num_threads = threads;
+    SearchEngine built(model_.get(), &lake_);
+    built.BuildWithOptions(options);
+    const std::string path =
+        TempPath("threads" + std::to_string(threads) + ".fcmsnap");
+    ASSERT_TRUE(built.SaveSnapshot(path).ok());
+    auto bytes = common::BinaryReader::LoadFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    images.push_back(bytes.value());
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(images[0], images[1]);
 }
 
 // Corruption on a REAL engine snapshot (storage_test covers the synthetic
